@@ -1,7 +1,7 @@
 """Exact Chow-ring calculator for moduli of smooth and nodal plane curves."""
 
-from .scalars import D, ModeMismatchError, Rational, UniPoly, eval_at, interpolate
-from .mpoly import C1, C2, C3, H, MPoly, T1, T2, T3
+from .scalars import D, ModeMismatchError, Rational, UniPoly, interpolate
+from .mpoly import C1, C2, C3, H, MPoly
 from .chow import (
     canonical_class,
     euler_twist,
@@ -18,13 +18,7 @@ from .groebner import (
     normal_form,
     verify_presentation,
 )
-from .symmetric import (
-    Weight3Decomposition,
-    chern_roots_product,
-    decompose_weight3,
-    is_symmetric,
-    sym_to_chern,
-)
+from .symmetric import chern_roots_product, decompose_weight3
 from .moduli import (
     TautologicalReport,
     closed_forms_report,
@@ -32,7 +26,6 @@ from .moduli import (
     hodge_product,
     hodge_table,
     lambda_classes,
-    mumford_check,
     nodal_presentation,
     smooth_presentation,
     syzygy_holds,

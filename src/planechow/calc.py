@@ -442,7 +442,10 @@ def evaluate(node: Ast, at: int | None = None) -> MPoly:
     """
     if at is not None and (not isinstance(at, int) or at < 1):
         raise ValueError(f"degree must be a positive integer, got {at!r}")
-    return _Evaluator(at).eval(node)
+    try:
+        return _Evaluator(at).eval(node)
+    except RecursionError:
+        raise EvalError("expression nested too deeply", node.span) from None
 
 
 def run(text: str, at: int | None = None) -> MPoly:

@@ -12,9 +12,8 @@ representative.  Scalars may be rational (specific degree) or generic
 
 from __future__ import annotations
 
-from .mpoly import C1, C2, C3, H, MPoly, unit_exp
+from .mpoly import C1, C2, C3, H, MPoly
 from .scalars import Scalar
-from .symmetric import sym_to_chern
 
 C_AND_H = ("c1", "c2", "c3", "h")
 
@@ -55,21 +54,12 @@ def integrate(p: MPoly) -> MPoly:
 def euler_twist(k: Scalar) -> MPoly:
     """Euler class of the twisted dual of the standard rank-3 bundle.
 
-    Its Chern roots are k*h - t1, k*h - t2, k*h - t3; the product is
-    expanded, the symmetric root coefficients are converted to Chern
-    classes, and the result is reduced.  Equals
-    reduce(k^3 h^3 - k^2 c1 h^2 + k c2 h - c3).
+    Its Chern roots are k*h - t1, k*h - t2, k*h - t3, whose product is
+    k^3 h^3 - k^2 c1 h^2 + k c2 h - c3; the result is that class reduced.
     """
-    kh = MPoly({unit_exp("h"): k}) if k else MPoly.zero()
-    product = MPoly.const(1)
-    for root in ("t1", "t2", "t3"):
-        product = product * (kh - MPoly.variable(root))
-    converted = MPoly.zero()
-    for j in range(4):
-        converted = converted + sym_to_chern(
-            product.coefficient_in("h", j)
-        ) * H**j
-    return reduce_class(converted)
+    return reduce_class(
+        (H**3).scale(k**3) - (C1 * H**2).scale(k**2) + (C2 * H).scale(k) - C3
+    )
 
 
 def canonical_class() -> MPoly:

@@ -52,8 +52,11 @@ def _fan_out(fn, degrees, jobs: int) -> list:
 
 def _emit(parser, text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"cannot write --out {out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -123,7 +126,7 @@ def lambda_record(d: int) -> dict:
         ),
         "lambda2_ok": report.lambda2_ok,
         "lambda3_ok": report.lambda3_ok,
-        "abc": None if report.abc is None else list(report.abc.as_tuple()),
+        "abc": None if report.abc is None else list(report.abc),
         "mumford_ok": report.mumford_ok,
         "pass": report.ok,
     }

@@ -26,12 +26,7 @@ from .groebner import (
 )
 from .mpoly import C1, C2, C3, H, MPoly
 from .scalars import D, Scalar, UniPoly, interpolate
-from .symmetric import (
-    Weight3Decomposition,
-    chern_roots_product,
-    decompose_weight3,
-    sym_to_chern,
-)
+from .symmetric import chern_roots_product, decompose_weight3
 
 #: Graded dimensions of Q[c1,c2] (weight 2 for c2) through weight 8.
 _DIMS_TWO_VARS = (1, 1, 2, 2, 3, 3, 4, 4, 5)
@@ -65,29 +60,6 @@ def nodal_relation(y: int, d: Scalar) -> MPoly:
     moduli.
     """
     return integrate(H**y * nodal_divisor_class(d) * euler_twist(d - 1))
-
-
-@dataclass(frozen=True)
-class NodalGenerator:
-    """Index (x, y) of a boundary module generator, x in {0,1}, y in {0,1,2}.
-
-    Generators with x = 1 push forward to zero identically, so only the
-    x = 0 column ever contributes relations.
-    """
-
-    x: int
-    y: int
-
-    def __post_init__(self):
-        if self.x not in (0, 1) or self.y not in (0, 1, 2):
-            raise ValueError(f"bad generator index ({self.x}, {self.y})")
-
-
-def nodal_generator_image(gen: NodalGenerator, d: Scalar) -> MPoly:
-    """Pushforward of one boundary generator; zero for the x = 1 column."""
-    if gen.x == 1:
-        return MPoly.zero()
-    return nodal_relation(gen.y, d)
 
 
 @lru_cache(maxsize=None)
@@ -209,15 +181,15 @@ def jet_compositions(d: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def hodge_product(d: int, max_weight: int = 3) -> MPoly:
-    """Total Chern class of the Hodge bundle, truncated by weight.
+def hodge_product(d: int) -> MPoly:
+    """Total Chern class 1 + lambda1 + lambda2 + lambda3 of the Hodge bundle.
 
     The bundle's Chern roots are -(x t1 + y t2 + z t3) over the positive
     compositions x + y + z = d, one root per interior lattice point of the
     degree-d triangle.
     """
     _require_degree(d)
-    return chern_roots_product(jet_compositions(d), max_weight)
+    return chern_roots_product(jet_compositions(d))
 
 
 def lambda1_coefficient(d: int) -> int:
@@ -290,7 +262,7 @@ class TautologicalReport:
     lambda3: MPoly
     lambda2_reduced: MPoly | None
     lambda3_reduced: MPoly | None
-    abc: Weight3Decomposition | None
+    abc: tuple[int, int, int] | None
     delta_ok: bool
     lambda1_ok: bool
     lambda2_ok: bool
@@ -314,9 +286,7 @@ def lambda_classes(d: int) -> TautologicalReport:
     """Compute the tautological report at one specific degree."""
     _require_degree(d)
     hodge = hodge_product(d)
-    lam1 = sym_to_chern(hodge.graded_part(1))
-    lam2 = sym_to_chern(hodge.graded_part(2))
-    lam3 = sym_to_chern(hodge.graded_part(3))
+    lam1, lam2, lam3 = (hodge.graded_part(k) for k in (1, 2, 3))
     delta = delta_pullback(d)
     delta_ok = delta == C1.scale(-d * (d - 1) ** 2)
     lambda1_ok = lam1 == C1.scale(lambda1_coefficient(d))
@@ -362,30 +332,13 @@ def lambda_classes(d: int) -> TautologicalReport:
         lambda3=lam3,
         lambda2_reduced=(C1**2).scale(q2) if q2 is not None else None,
         lambda3_reduced=(C1**3).scale(q3) if q3 is not None else None,
-        abc=decompose_weight3(hodge.graded_part(3)),
+        abc=decompose_weight3(lam3),
         delta_ok=delta_ok,
         lambda1_ok=lambda1_ok,
         lambda2_ok=lambda2_ok,
         lambda3_ok=direct and cross,
         mumford_ok=mumford_ok,
     )
-
-
-def mumford_check(d: int) -> bool:
-    """lambda1^2 = 2*lambda2 modulo the nodal relations, for d >= 4."""
-    if not isinstance(d, int) or d < 4:
-        raise ValueError("the Mumford relation check needs d >= 4")
-    hodge = hodge_product(d)
-    lam1 = sym_to_chern(hodge.graded_part(1))
-    lam2 = sym_to_chern(hodge.graded_part(2))
-    return not normal_form(lam1 * lam1 - lam2.scale(2), nodal_groebner(d))
-
-
-def _as_int(value) -> int:
-    f = Fraction(value)
-    if f.denominator != 1:
-        raise ValueError(f"expected an integer, got {f}")
-    return int(f)
 
 
 def hodge_table(d_from: int, d_to: int) -> list[tuple[int, int, int, int]]:
@@ -397,13 +350,10 @@ def hodge_table(d_from: int, d_to: int) -> list[tuple[int, int, int, int]]:
     """
     if d_from < 4 or d_to < d_from:
         raise ValueError(f"bad table range {d_from}..{d_to}")
-    rows = []
-    for d in range(d_from, d_to + 1):
-        dec = decompose_weight3(hodge_product(d).graded_part(3))
-        rows.append(
-            (d, _as_int(dec.m3), _as_int(dec.m111), _as_int(dec.m21))
-        )
-    return rows
+    return [
+        (d, *decompose_weight3(hodge_product(d).graded_part(3)))
+        for d in range(d_from, d_to + 1)
+    ]
 
 
 def reference_closed_forms() -> tuple[UniPoly, UniPoly, UniPoly]:

@@ -4,7 +4,7 @@ The engine works throughout in the seven variables
 
     c1, c2, c3   equivariant Chern classes, weights 1, 2, 3
     h            hyperplane class, weight 1
-    t1, t2, t3   Chern roots, weight 1
+    t1, t2, t3   Chern roots, weight 1 (only the tests build classes in them)
 
 A monomial is an exponent 7-tuple; a polynomial maps monomials to nonzero
 scalar coefficients (int, Fraction or UniPoly — see :mod:`.scalars`).  The
@@ -176,26 +176,6 @@ class MPoly:
             acc = acc * self
         return acc
 
-    def mul_truncated(self, other: "MPoly", max_weight: int) -> "MPoly":
-        """Product with every monomial of weight > max_weight dropped."""
-        other = _as_poly(other)
-        if other is None:
-            raise TypeError("mul_truncated expects a polynomial")
-        self._merge_with(other)
-        out: dict[Exponent, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            w1 = monomial_weight(e1)
-            for e2, c2 in other.terms.items():
-                if w1 + monomial_weight(e2) > max_weight:
-                    continue
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(exp, 0) + c1 * c2
-                if acc:
-                    out[exp] = acc
-                else:
-                    out.pop(exp, None)
-        return _raw(out)
-
     def graded_part(self, w: int) -> "MPoly":
         """Sum of the terms of weighted degree exactly w."""
         return _raw(
@@ -341,6 +321,3 @@ C1 = MPoly.variable("c1")
 C2 = MPoly.variable("c2")
 C3 = MPoly.variable("c3")
 H = MPoly.variable("h")
-T1 = MPoly.variable("t1")
-T2 = MPoly.variable("t2")
-T3 = MPoly.variable("t3")

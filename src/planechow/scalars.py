@@ -188,38 +188,6 @@ def merge_modes(a: str | None, b: str | None) -> str | None:
     raise ModeMismatchError(f"cannot mix {a} and {b} scalars")
 
 
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Apply ``+``, ``-`` or ``*`` to two scalars of compatible mode."""
-    merge_modes(scalar_mode(a), scalar_mode(b))
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def scalar_is_zero(s: Scalar) -> bool:
-    return not s
-
-
-def format_scalar(s: Scalar) -> str:
-    return str(s)
-
-
-def eval_at(p: UniPoly, d0: Union[int, Fraction]) -> Fraction:
-    """Evaluate a generic-mode scalar at a specific degree."""
-    return p.evaluate(d0)
-
-
-def specialize_scalar(s: Scalar, d0: Union[int, Fraction]) -> Fraction:
-    """Collapse any scalar to a rational by pinning d = d0."""
-    if isinstance(s, UniPoly):
-        return s.evaluate(d0)
-    return Fraction(s)
-
-
 def interpolate(points: Sequence[tuple], max_degree: int) -> UniPoly:
     """Interpolate a polynomial in d through exact data points.
 

@@ -1,128 +1,72 @@
-"""Symmetric polynomials in the Chern roots t1, t2, t3.
+"""Hodge-bundle Chern classes by exact evaluation at three torus points.
 
-Conversion into the Chern classes c1, c2, c3 (the elementary symmetric
-polynomials of the roots) follows the classical leading-term reduction
-behind the fundamental theorem of symmetric polynomials, so it terminates
-on any symmetric input and is exact.  Weight-3 symmetric classes also admit
-a decomposition over the monomial-symmetric basis, which is how the
-integer tables later in the pipeline are produced.
+A bundle whose Chern roots are -(x t1 + y t2 + z t3), over a multiset of
+integer forms (x, y, z) closed under permuting the three entries, has a
+total Chern class symmetric in t1, t2, t3.  So each of lambda1, lambda2,
+lambda3 is a weighted-homogeneous polynomial in c1, c2, c3 = e1, e2, e3 of
+t with 1, 2 and 3 unknown coefficients.  Evaluating the roots at
+t = (1,0,0), (1,1,0), (1,1,1), where (c1, c2, c3) = (1,0,0), (2,1,0),
+(3,3,1), gives a triangular integer system for those coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import permutations
+from collections import Counter
 
-from .mpoly import MPoly, T1, T2, T3, VAR_INDEX, monomial_weight
-from .scalars import Scalar
+from .mpoly import C1, C2, C3, MPoly
 
-T_VARS = ("t1", "t2", "t3")
-_T = tuple(VAR_INDEX[n] for n in T_VARS)
-
-#: Elementary symmetric polynomials of the roots.
-E1 = T1 + T2 + T3
-E2 = T1 * T2 + T1 * T3 + T2 * T3
-E3 = T1 * T2 * T3
+#: Exponents of the weight-3 monomials c1^3, c1*c2, c3.
+_WEIGHT3 = ((3, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0))
 
 
-def _permuted(p: MPoly, perm: tuple[int, int, int]) -> MPoly:
-    out = {}
-    for exp, coeff in p.terms.items():
-        e = list(exp)
-        e[_T[0]], e[_T[1]], e[_T[2]] = (
-            exp[_T[perm[0]]],
-            exp[_T[perm[1]]],
-            exp[_T[perm[2]]],
-        )
-        out[tuple(e)] = coeff
-    return MPoly(out)
-
-
-def is_symmetric(p: MPoly) -> bool:
-    """True iff p is invariant under all permutations of t1, t2, t3."""
-    if not p.uses_only(T_VARS):
-        raise ValueError(f"expected a polynomial in t1, t2, t3: {p}")
-    return all(_permuted(p, perm) == p for perm in permutations((0, 1, 2)))
-
-
-def sym_to_chern(p: MPoly) -> MPoly:
-    """Rewrite a symmetric polynomial in the roots as one in c1, c2, c3.
-
-    Repeatedly strips the lex-leading monomial t1^a t2^b t3^c (a >= b >= c)
-    by subtracting coeff * e1^(a-b) e2^(b-c) e3^c, recording the same
-    monomial in the c-variables.
-    """
-    if not is_symmetric(p):
-        raise ValueError(f"not symmetric in t1, t2, t3: {p}")
-    out: dict = {}
-    work = p
-    while work:
-        exp = max(work.terms, key=lambda e: tuple(e[i] for i in _T))
-        a, b, c = (exp[i] for i in _T)
-        if not a >= b >= c:
-            raise AssertionError(f"leading exponent not sorted: {exp}")
-        coeff = work.terms[exp]
-        out[(a - b, b - c, c, 0, 0, 0, 0)] = coeff
-        work = work - (E1 ** (a - b) * E2 ** (b - c) * E3**c).scale(coeff)
-    return MPoly(out)
-
-
-@dataclass(frozen=True)
-class Weight3Decomposition:
-    """Coefficients of a weight-3 symmetric class over the monomial basis.
-
-    The basis elements are the monomial-symmetric polynomials for the
-    partitions (3), (1,1,1) and (2,1): sum of cubes, the product t1*t2*t3,
-    and the sum of all t_i^2 t_j with i != j.
-    """
-
-    m3: Scalar
-    m111: Scalar
-    m21: Scalar
-
-    def as_tuple(self) -> tuple[Scalar, Scalar, Scalar]:
-        return (self.m3, self.m111, self.m21)
-
-
-def weight3_basis() -> tuple[MPoly, MPoly, MPoly]:
-    """The three monomial-symmetric polynomials of weight 3."""
-    m3 = T1**3 + T2**3 + T3**3
-    m111 = T1 * T2 * T3
-    m21 = (
-        T1**2 * T2
-        + T1**2 * T3
-        + T2**2 * T1
-        + T2**2 * T3
-        + T3**2 * T1
-        + T3**2 * T2
-    )
-    return m3, m111, m21
-
-
-def decompose_weight3(p: MPoly) -> Weight3Decomposition:
-    """Read off the monomial-symmetric coordinates of a weight-3 class."""
-    if not is_symmetric(p):
-        raise ValueError(f"not symmetric in t1, t2, t3: {p}")
-    if p and {monomial_weight(e) for e in p.terms} != {3}:
-        raise ValueError(f"not homogeneous of weight 3: {p}")
-    m3 = p.terms.get((0, 0, 0, 0, 3, 0, 0), 0)
-    m111 = p.terms.get((0, 0, 0, 0, 1, 1, 1), 0)
-    m21 = p.terms.get((0, 0, 0, 0, 2, 1, 0), 0)
-    return Weight3Decomposition(m3, m111, m21)
-
-
-def chern_roots_product(
-    forms: list[tuple[Scalar, Scalar, Scalar]], max_weight: int
-) -> MPoly:
-    """Truncated product of factors (1 - x*t1 - y*t2 - z*t3).
-
-    Every monomial of weight above max_weight is dropped as the product is
-    accumulated, so long factor lists stay cheap.
-    """
-    acc = MPoly.const(1)
+def _elementary(forms, a: int, b: int, c: int) -> tuple[int, int, int]:
+    """e1, e2, e3 of the integer roots -(x*a + y*b + z*c)."""
+    e1 = e2 = e3 = 0
     for x, y, z in forms:
-        factor = (
-            MPoly.const(1) - T1.scale(x) - T2.scale(y) - T3.scale(z)
-        )
-        acc = acc.mul_truncated(factor, max_weight)
-    return acc
+        r = -(x * a + y * b + z * c)
+        e3 += e2 * r
+        e2 += e1 * r
+        e1 += r
+    return e1, e2, e3
+
+
+# Name, module and first argument are pinned by the benchmark's trace spans.
+def chern_roots_product(forms: list[tuple[int, int, int]]) -> MPoly:
+    """Total Chern class 1 + lambda1 + lambda2 + lambda3 in c1, c2, c3.
+
+    forms are the integer triples (x, y, z) of the roots -(x t1 + y t2 +
+    z t3); as a multiset they must be invariant under permuting entries.
+    """
+    count = Counter(forms)
+    swapped = Counter((y, x, z) for x, y, z in forms)
+    cycled = Counter((y, z, x) for x, y, z in forms)
+    if not count == swapped == cycled:
+        raise ValueError("root forms are not symmetric under permuting t1, t2, t3")
+    e1_100, beta, p = _elementary(forms, 1, 0, 0)
+    _, e2_110, e3_110 = _elementary(forms, 1, 1, 0)
+    e3_111 = _elementary(forms, 1, 1, 1)[2]
+    q, odd = divmod(e3_110 - 8 * p, 2)
+    assert not odd, "integer symmetric input has integer Chern coefficients"
+    r = e3_111 - 27 * p - 9 * q
+    return (
+        MPoly.const(1)
+        + C1.scale(e1_100)
+        + (C1**2).scale(beta)
+        + C2.scale(e2_110 - 4 * beta)
+        + (C1**3).scale(p)
+        + (C1 * C2).scale(q)
+        + C3.scale(r)
+    )
+
+
+def decompose_weight3(lam3: MPoly) -> tuple[int, int, int]:
+    """Monomial-symmetric coordinates (A, B, C) of a weight-3 class.
+
+    The class is given in c1, c2, c3; the basis is m3, m111, m21 (the sum
+    of cubes, t1*t2*t3, and the sum of t_i^2 t_j over i != j), whose
+    images are c1^3 - 3 c1 c2 + 3 c3, c3 and c1 c2 - 3 c3.
+    """
+    if not set(lam3.terms) <= set(_WEIGHT3):
+        raise ValueError(f"not a weight-3 class in c1, c2, c3: {lam3}")
+    p, q, r = (lam3.terms.get(e, 0) for e in _WEIGHT3)
+    return p, 6 * p + 3 * q + r, 3 * p + q

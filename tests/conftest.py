@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from planechow.calc import BinOp, Call, Num, NormalFormCall, Pow, Span, Var
 from planechow.mpoly import MPoly, NVARS, VAR_INDEX
-from planechow.symmetric import E1, E2, E3
+from reference import E1, E2, E3
 
 
 def random_coeff(rng: random.Random) -> Fraction:

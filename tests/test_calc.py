@@ -91,6 +91,17 @@ def test_parse_depth_limit():
     assert exc.value.message == "expression nested too deeply"
 
 
+def test_evaluate_depth_limit():
+    # a flat chain parses iteratively but evaluates as a 5,000-deep tree
+    chain = " + ".join(["c1"] * 5000)
+    tree = parse(chain)
+    for at in (None, 4):
+        with pytest.raises(EvalError) as exc:
+            evaluate(tree, at=at)
+        assert exc.value.message == "expression nested too deeply"
+        assert exc.value.span == Span(0, len(chain))
+
+
 def test_render_goldens():
     cases = [
         ("c1+c2*c3", "c1 + c2 * c3"),

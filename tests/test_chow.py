@@ -1,6 +1,7 @@
 """Chow ring of the plane: reduction, integration, standard classes."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,8 +14,9 @@ from planechow.chow import (
     pushforward,
     reduce_class,
 )
-from planechow.mpoly import C1, C2, C3, H, MPoly, T1
+from planechow.mpoly import C1, C2, C3, H, MPoly
 from planechow.scalars import D
+from reference import T1, euler_twist_by_roots
 
 
 def test_reduce_h3():
@@ -77,22 +79,17 @@ def test_integrate_is_linear():
 
 
 def test_euler_twist_matches_direct_expansion():
-    # product of the roots k*h - t_i expands to k^3 h^3 - k^2 c1 h^2 + k c2 h - c3
-    for k in (0, 1, 2, 3, 7, -1):
-        direct = reduce_class(
-            (H**3).scale(k**3)
-            - (C1 * H**2).scale(k**2)
-            + (C2 * H).scale(k)
-            - C3
-        )
-        assert euler_twist(k) == direct
-    generic = reduce_class(
-        (H**3).scale((D - 1) ** 3)
-        - (C1 * H**2).scale((D - 1) ** 2)
-        + (C2 * H).scale(D - 1)
-        - C3
-    )
-    assert euler_twist(D - 1) == generic
+    # the closed form against the product of the roots k*h - t_i, expanded
+    # in t and rewritten into Chern classes
+    for k in (
+        0, 1, 2, 3, 7, 63, Fraction(5, 2), Fraction(-1, 3),
+        D - 1, D, 2 * D - 3,
+    ):
+        closed = euler_twist(k)
+        by_roots = euler_twist_by_roots(k)
+        assert closed.terms == by_roots.terms
+        assert str(closed) == str(by_roots)
+        assert closed.mode == by_roots.mode
 
 
 def test_euler_twist_zero():

@@ -161,6 +161,11 @@ def test_eval_errors_exit_one(capsys):
     )
     assert main(["eval", "nf(c1, nodal, 4)"]) == 1
     assert "needs a specific degree" in capsys.readouterr().out
+    chain = " + ".join(["c1"] * 5000)
+    assert main(["eval", chain]) == 1
+    assert capsys.readouterr().out == (
+        f"error: expression nested too deeply at 0..{len(chain)}\n"
+    )
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -170,6 +175,27 @@ def test_out_writes_file(tmp_path, capsys):
     ) == 0
     assert capsys.readouterr().out == ""
     assert path.read_text(encoding="utf-8") == TABLE_4_TO_6_CSV
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--from", "4", "--to", "5"],
+        ["lambda", "--d", "3"],
+        ["eval", "c1"],
+    ],
+)
+def test_out_to_unwritable_path_is_a_usage_error(tmp_path, argv, capsys):
+    target = tmp_path / "missing" / "x"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"planechow: error: cannot write --out {target}: "
+        "No such file or directory"
+    )
 
 
 def test_parallel_output_is_deterministic(tmp_path):

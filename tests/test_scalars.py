@@ -9,11 +9,8 @@ from planechow.scalars import (
     D,
     GENERIC,
     RATIONAL,
-    ModeMismatchError,
     UniPoly,
-    eval_at,
     interpolate,
-    scalar_arith,
     scalar_mode,
 )
 
@@ -67,16 +64,16 @@ def test_eval_at_matches_direct_power_sum():
         direct = sum(
             (c * x**i for i, c in enumerate(p.coeffs)), Fraction(0)
         )
-        assert eval_at(p, x) == direct
+        assert p.evaluate(x) == direct
 
 
 def test_eval_at_known_values():
-    assert eval_at(D**2 - 3 * D + 3, 4) == 7
-    assert eval_at(-D * (D - 1) ** 2, 4) == -36
+    assert (D**2 - 3 * D + 3).evaluate(4) == 7
+    assert (-D * (D - 1) ** 2).evaluate(4) == -36
     # quartic factor of the first table column
     quartic = 5 * D**4 - 20 * D**3 - 5 * D**2 + 50 * D - 12
-    assert eval_at(quartic, 4) == 108
-    assert eval_at(UniPoly(), 123) == 0
+    assert quartic.evaluate(4) == 108
+    assert UniPoly().evaluate(123) == 0
 
 
 def test_scalar_modes():
@@ -85,15 +82,6 @@ def test_scalar_modes():
     assert scalar_mode(D) == GENERIC
     with pytest.raises(TypeError):
         scalar_mode(1.5)
-
-
-def test_scalar_arith_rejects_mixed_modes():
-    with pytest.raises(ModeMismatchError):
-        scalar_arith(Fraction(1, 2), D, "+")
-    with pytest.raises(ModeMismatchError):
-        scalar_arith(D - 1, Fraction(3), "*")
-    assert scalar_arith(2, D, "*") == 2 * D
-    assert scalar_arith(Fraction(1, 2), Fraction(1, 3), "+") == Fraction(5, 6)
 
 
 def test_interpolate_quadratic():

@@ -1,25 +1,27 @@
-"""Symmetric functions of the Chern roots and their Chern-class images."""
+"""Hodge classes by torus evaluation, against the Chern-root reference."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from conftest import random_symmetric
-from planechow.mpoly import C1, C2, C3, H, MPoly, T1, T2, T3
+from planechow.moduli import hodge_product
+from planechow.mpoly import C1, C2, C3, H, MPoly, monomial_weight
 from planechow.scalars import D
-from planechow.symmetric import (
+from planechow.symmetric import chern_roots_product, decompose_weight3
+from reference import (
     E1,
     E2,
     E3,
-    chern_roots_product,
-    decompose_weight3,
+    T1,
+    T2,
+    T3,
+    hodge_reference,
     is_symmetric,
+    roots_product,
     sym_to_chern,
     weight3_basis,
 )
-
-ROOTS_TO_CHERN = {"t1": C1, "t2": C2, "t3": C3}
 
 
 def test_is_symmetric():
@@ -76,53 +78,102 @@ def test_sym_to_chern_generic_coefficients():
 
 
 def test_weight3_decomposition_reconstructs():
-    m3, m111, m21 = weight3_basis()
+    m3, m111, m21 = (sym_to_chern(m) for m in weight3_basis())
     p = m3.scale(-2) + m111.scale(-16) + m21.scale(-7)
-    dec = decompose_weight3(p)
-    assert dec.as_tuple() == (-2, -16, -7)
-    rebuilt = m3.scale(dec.m3) + m111.scale(dec.m111) + m21.scale(dec.m21)
-    assert rebuilt == p
+    assert p == -((C1**3).scale(2) + C1 * C2 + C3)
+    assert decompose_weight3(p) == (-2, -16, -7)
 
 
 def test_weight3_decomposition_of_zero():
-    dec = decompose_weight3(MPoly.zero())
-    assert dec.as_tuple() == (0, 0, 0)
+    assert decompose_weight3(MPoly.zero()) == (0, 0, 0)
 
 
 def test_weight3_decomposition_rejects_wrong_weight():
     with pytest.raises(ValueError):
-        decompose_weight3(T1 + T2 + T3)
+        decompose_weight3(C1 + C2)
     with pytest.raises(ValueError):
-        decompose_weight3(T1 - T2)
+        decompose_weight3(C1**3 + H)
 
 
 def test_weight3_decomposition_random_round_trip():
     rng = random.Random(29)
-    m3, m111, m21 = weight3_basis()
+    m3, m111, m21 = (sym_to_chern(m) for m in weight3_basis())
     for _ in range(50):
-        a = Fraction(rng.randint(-20, 20))
-        b = Fraction(rng.randint(-20, 20))
-        c = Fraction(rng.randint(-20, 20))
+        a, b, c = (rng.randint(-20, 20) for _ in range(3))
         p = m3.scale(a) + m111.scale(b) + m21.scale(c)
-        assert decompose_weight3(p).as_tuple() == (a, b, c)
+        assert decompose_weight3(p) == (a, b, c)
 
 
 def test_roots_product_empty_is_one():
-    assert chern_roots_product([], 3) == MPoly.const(1)
+    assert chern_roots_product([]) == MPoly.const(1)
+    assert roots_product([]) == MPoly.const(1)
 
 
 def test_roots_product_single_factor():
-    assert chern_roots_product([(1, 1, 1)], 3) == MPoly.const(1) - E1
-    assert chern_roots_product([(0, 0, 0)], 3) == MPoly.const(1)
+    assert chern_roots_product([(1, 1, 1)]) == MPoly.const(1) - C1
+    assert chern_roots_product([(0, 0, 0)]) == MPoly.const(1)
+    # roots -t1, -t2, -t3: the total Chern class of the dual bundle
+    forms = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert chern_roots_product(forms) == MPoly.const(1) - C1 + C2 - C3
 
 
 def test_roots_product_truncates():
-    forms = [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
-    full = MPoly.const(1)
-    for x, y, z in forms:
-        full = full * (
-            MPoly.const(1) - T1.scale(x) - T2.scale(y) - T3.scale(z)
+    # the reference route drops every root monomial above the weight cap
+    rng = random.Random(31)
+    for _ in range(20):
+        forms = [
+            tuple(rng.randint(-3, 3) for _ in range(3))
+            for _ in range(rng.randint(0, 5))
+        ]
+        full = MPoly.const(1)
+        for x, y, z in forms:
+            full = full * (
+                MPoly.const(1) - T1.scale(x) - T2.scale(y) - T3.scale(z)
+            )
+        cap = rng.randint(0, 4)
+        expected = MPoly(
+            {e: c for e, c in full.terms.items() if monomial_weight(e) <= cap}
         )
-    cut = chern_roots_product(forms, 2)
-    assert cut == full.graded_part(0) + full.graded_part(1) + full.graded_part(2)
-    assert chern_roots_product(forms, 3).graded_part(1) == -E1.scale(4)
+        assert roots_product(forms, cap) == expected
+
+
+def test_roots_product_matches_reference_on_symmetric_forms():
+    rng = random.Random(37)
+    for _ in range(30):
+        base = tuple(rng.randint(-4, 4) for _ in range(3))
+        x, y, z = base
+        orbit = [(x, y, z), (y, z, x), (z, x, y), (y, x, z), (x, z, y), (z, y, x)]
+        product = roots_product(orbit)
+        expected = sum(
+            (sym_to_chern(product.graded_part(k)) for k in (0, 1, 2, 3)),
+            MPoly.zero(),
+        )
+        assert chern_roots_product(orbit) == expected
+
+
+def test_roots_product_rejects_asymmetric_forms():
+    for forms in (
+        [(1, 2, 3)],
+        [(1, 1, 2), (1, 2, 1)],
+        # closed under swapping t1, t2 but not under the 3-cycle
+        [(1, 1, 2), (2, 2, 1)],
+        # the right set of forms, one of them twice
+        [(1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 1, 1)],
+    ):
+        with pytest.raises(ValueError):
+            chern_roots_product(forms)
+
+
+@pytest.mark.parametrize("d", [*range(1, 31), 40])
+def test_hodge_classes_match_root_reference(d):
+    lam1, lam2, lam3, abc = hodge_reference(d)
+    hodge = hodge_product(d)
+    assert hodge.graded_part(0) == MPoly.const(1)
+    assert hodge.max_weight() <= 3
+    engine = tuple(hodge.graded_part(k) for k in (1, 2, 3))
+    assert engine == (lam1, lam2, lam3)
+    for lam in engine:
+        assert all(type(c) is int for c in lam.terms.values())
+    engine_abc = decompose_weight3(engine[2])
+    assert engine_abc == abc
+    assert all(type(c) is int for c in engine_abc)
