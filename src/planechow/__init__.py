@@ -30,6 +30,5 @@ from .moduli import (
     smooth_presentation,
     syzygy_holds,
 )
-from .calc import evaluate, parse, render
 
 __version__ = "0.1.0"

@@ -114,6 +114,10 @@ FUNCTION_ARITY = {
 }
 IDEAL_PRESETS = ("smooth", "nodal")
 
+#: Largest exponent evaluated after '^'; a power is expanded before it is
+#: reduced, so this bounds its work (bench/workloads.py uses at most 10).
+MAX_EXPONENT = 64
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -395,6 +399,9 @@ class _Evaluator:
                 return left - right
             return chow.reduce_class(left * right)
         if isinstance(node, Pow):
+            if node.exponent > MAX_EXPONENT:
+                msg = f"exponent {node.exponent} exceeds the budget {MAX_EXPONENT}"
+                raise EvalError(msg, node.span)
             return chow.reduce_class(self.eval(node.base) ** node.exponent)
         if isinstance(node, NormalFormCall):
             if self.at is None:

@@ -20,21 +20,31 @@ C_AND_H = ("c1", "c2", "c3", "h")
 #: Rewriting image of h^3.
 _H3_IMAGE = -(C1 * H**2 + C2 * H + C3)
 
+#: Canonical representatives of h^0, h^1, h^2, ..., grown on demand.
+_H_POWERS = [MPoly.const(1), H, H**2]
+
+
+def _h_power(k: int) -> MPoly:
+    """Canonical h^k, built as h * h^(k-1) with h^3 rewritten (no recursion)."""
+    while len(_H_POWERS) <= k:
+        top = _H_POWERS[-1] * H
+        cubic = top.coefficient_in("h", 3)
+        _H_POWERS.append(top - cubic * H**3 + cubic * _H3_IMAGE)
+    return _H_POWERS[k]
+
 
 def reduce_class(p: MPoly) -> MPoly:
     """Canonical representative with h-degree at most 2."""
     if not p.uses_only(C_AND_H):
         raise ValueError(f"expected a class in c1, c2, c3, h: {p}")
-    while True:
-        top = p.degree_in("h")
-        if top <= 2:
-            return p
-        for exp, coeff in list(p.terms.items()):
-            k = exp[3]
-            if k < 3:
-                continue
-            stripped = exp[:3] + (k - 3,) + exp[4:]
-            p = p - MPoly({exp: coeff}) + MPoly({stripped: coeff}) * _H3_IMAGE
+    if p.degree_in("h") <= 2:
+        return p
+    groups: dict[int, dict] = {}
+    for exp, coeff in p.terms.items():
+        groups.setdefault(exp[3], {})[exp[:3] + (0,) + exp[4:]] = coeff
+    return sum(
+        (MPoly(terms) * _h_power(k) for k, terms in groups.items()), MPoly.zero()
+    )
 
 
 def pushforward(p: MPoly) -> MPoly:

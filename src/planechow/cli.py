@@ -13,9 +13,8 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-from . import calc, moduli
+from . import moduli
 
 DEFAULT_MAX_D = 64
 
@@ -45,6 +44,8 @@ def _check_range(parser, pair: tuple[int, int], max_d: int) -> range:
 def _fan_out(fn, degrees, jobs: int) -> list:
     if jobs == 1 or len(degrees) <= 1:
         return [fn(d) for d in degrees]
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = jobs if jobs else (os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=min(workers, len(degrees))) as pool:
         return list(pool.map(fn, degrees))
@@ -343,6 +344,8 @@ def main(argv=None) -> int:
         return 0 if record["pass"] else 1
 
     # eval
+    from . import calc
+
     if args.d is not None and args.d < 1:
         parser.error(f"degree must be positive, got {args.d}")
     try:

@@ -9,9 +9,9 @@ must already be pinned before anything lands here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .mpoly import MPoly, monomial_weight, order_key
 from .scalars import GENERIC
@@ -20,8 +20,7 @@ C_VARS = ("c1", "c2", "c3")
 C_WEIGHTS = (1, 2, 3)
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(NamedTuple):
     """A claimed quotient presentation: relation ideal plus graded sizes.
 
     ``expected_dims[w]`` is the dimension of the weight-w graded piece of
@@ -77,9 +76,14 @@ def normal_form(p: MPoly, basis: Sequence[MPoly]) -> MPoly:
         raise ValueError(f"normal form input must live in Q[c1,c2,c3]: {p}")
     leads = [leading_term(g) for g in basis]
     work = {e: Fraction(c) for e, c in p.terms.items()}
+    # min-heap of reversed order keys; entries no longer in work are skipped
+    heap = [(-monomial_weight(e), e[::-1]) for e in work]
+    heapq.heapify(heap)
     remainder: dict = {}
-    while work:
-        exp = max(work, key=order_key)
+    while heap:
+        exp = heapq.heappop(heap)[1][::-1]
+        if exp not in work:
+            continue
         coeff = work.pop(exp)
         for g, (lm, lc) in zip(basis, leads):
             if _divides(lm, exp):
@@ -87,6 +91,8 @@ def normal_form(p: MPoly, basis: Sequence[MPoly]) -> MPoly:
                 for e, c in _shifted(g, shift, coeff / lc).items():
                     if e == exp:
                         continue
+                    if e not in work:
+                        heapq.heappush(heap, (-monomial_weight(e), e[::-1]))
                     acc = work.get(e, 0) - c
                     if acc:
                         work[e] = acc

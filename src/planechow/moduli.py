@@ -12,15 +12,14 @@ pullbacks together with their closed forms in d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .chow import euler_twist, integrate, nodal_divisor_class
 from .groebner import (
     RingPresentation,
     buchberger,
-    graded_dimensions,
     normal_form,
     verify_presentation,
 )
@@ -243,8 +242,7 @@ def _c1_multiple(p: MPoly, gb: tuple[MPoly, ...], power: int) -> Fraction | None
     return None
 
 
-@dataclass
-class TautologicalReport:
+class TautologicalReport(NamedTuple):
     """Delta and lambda pullbacks at one degree, with their checks.
 
     Raw classes live in Q[c1,c2,c3]; the reduced lambda fields rewrite

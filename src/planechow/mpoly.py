@@ -18,15 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .scalars import (
-    GENERIC,
-    RATIONAL,
-    ModeMismatchError,
-    Scalar,
-    UniPoly,
-    merge_modes,
-    scalar_mode,
-)
+from .scalars import Scalar, UniPoly, merge_modes, scalar_mode
 
 VARIABLES = ("c1", "c2", "c3", "h", "t1", "t2", "t3")
 WEIGHTS = (1, 2, 3, 1, 1, 1, 1)

@@ -1,19 +1,25 @@
-"""Independent second route for the Chern-root layer.
+"""Independent second routes for the Chern-root layer and the two kernels.
 
 The engine reads the Hodge classes off three integer torus points and
 builds euler_twist from its closed form.  This module keeps the route that
 works in the Chern roots t1, t2, t3 themselves: the truncated product of
 the linear root factors, rewritten into c1, c2, c3 by the leading-term
-reduction behind the fundamental theorem of symmetric polynomials.  Tests
-compare the two routes exactly.
+reduction behind the fundamental theorem of symmetric polynomials.
+
+It also keeps the plain versions of the two kernels the engine runs in a
+faster form: multivariate division that finds each leading term by a scan
+of the whole working set (the engine uses a heap), and plane-bundle
+reduction that rewrites one h^k term at a time (the engine multiplies each
+h-degree group by a table of reduced powers of h).  Tests compare the
+routes exactly.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 
-from planechow.chow import reduce_class
-from planechow.mpoly import H, MPoly, VAR_INDEX
+from planechow.mpoly import C1, C2, C3, H, MPoly, VAR_INDEX, order_key
 from planechow.scalars import Scalar
 
 T1 = MPoly.variable("t1")
@@ -127,6 +133,48 @@ def hodge_reference(d: int) -> tuple[MPoly, MPoly, MPoly, tuple]:
     return (*lambdas, abc)
 
 
+def normal_form_by_scan(p: MPoly, basis) -> MPoly:
+    """Remainder of p under division by basis, leading terms by a max scan."""
+    leads = [max(g.terms, key=order_key) for g in basis]
+    work = {e: Fraction(c) for e, c in p.terms.items()}
+    remainder: dict = {}
+    while work:
+        exp = max(work, key=order_key)
+        coeff = work.pop(exp)
+        for g, lm in zip(basis, leads):
+            if all(a <= b for a, b in zip(lm, exp)):
+                factor = coeff / Fraction(g.terms[lm])
+                shift = tuple(a - b for a, b in zip(exp, lm))
+                for e, c in g.terms.items():
+                    e = tuple(a + b for a, b in zip(e, shift))
+                    if e == exp:
+                        continue
+                    acc = work.get(e, 0) - factor * c
+                    if acc:
+                        work[e] = acc
+                    else:
+                        work.pop(e, None)
+                break
+        else:
+            remainder[exp] = coeff
+    return MPoly(remainder)
+
+
+_H3_IMAGE = -(C1 * H**2 + C2 * H + C3)
+
+
+def reduce_class_by_terms(p: MPoly) -> MPoly:
+    """Rewrite h^3 as -(c1 h^2 + c2 h + c3), one term at a time."""
+    while p.degree_in("h") > 2:
+        for exp, coeff in list(p.terms.items()):
+            k = exp[3]
+            if k < 3:
+                continue
+            stripped = exp[:3] + (k - 3,) + exp[4:]
+            p = p - MPoly({exp: coeff}) + MPoly({stripped: coeff}) * _H3_IMAGE
+    return p
+
+
 def euler_twist_by_roots(k: Scalar) -> MPoly:
     """Euler class with Chern roots k*h - t_i, expanded in the roots."""
     kh = H.scale(k)
@@ -136,4 +184,4 @@ def euler_twist_by_roots(k: Scalar) -> MPoly:
     converted = MPoly.zero()
     for j in range(4):
         converted = converted + sym_to_chern(product.coefficient_in("h", j)) * H**j
-    return reduce_class(converted)
+    return reduce_class_by_terms(converted)

@@ -1,12 +1,14 @@
 """Parser, renderer, and evaluator for the expression language."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from planechow import chow
 from planechow.calc import (
+    MAX_EXPONENT,
     BinOp,
     Diagnostic,
     EvalError,
@@ -100,6 +102,23 @@ def test_evaluate_depth_limit():
             evaluate(tree, at=at)
         assert exc.value.message == "expression nested too deeply"
         assert exc.value.span == Span(0, len(chain))
+
+
+def test_evaluate_exponent_budget():
+    assert MAX_EXPONENT >= 10
+    assert run(f"c1^{MAX_EXPONENT}") == C1**MAX_EXPONENT
+    text = "2*(c1 + h)^100000000"
+    # the tree still parses and renders; only evaluation refuses it
+    assert parse(render(parse(text))) == parse(text)
+    for at in (None, 4):
+        start = time.perf_counter()
+        with pytest.raises(EvalError) as exc:
+            run(text, at=at)
+        assert time.perf_counter() - start < 1
+        assert exc.value.message == (
+            f"exponent 100000000 exceeds the budget {MAX_EXPONENT}"
+        )
+        assert exc.value.span == Span(2, len(text))
 
 
 def test_render_goldens():

@@ -1,11 +1,13 @@
 """Chow ring of the plane: reduction, integration, standard classes."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_mpoly
+from conftest import random_coeff, random_mpoly
+from planechow import chow
 from planechow.chow import (
     canonical_class,
     euler_twist,
@@ -16,7 +18,7 @@ from planechow.chow import (
 )
 from planechow.mpoly import C1, C2, C3, H, MPoly
 from planechow.scalars import D
-from reference import T1, euler_twist_by_roots
+from reference import T1, euler_twist_by_roots, reduce_class_by_terms
 
 
 def test_reduce_h3():
@@ -45,6 +47,44 @@ def test_reduce_is_idempotent_and_additive():
         assert ra.degree_in("h") <= 2
         assert reduce_class(a + b) == reduce_class(ra + reduce_class(b))
         assert reduce_class(a * b) == reduce_class(ra * reduce_class(b))
+
+
+@pytest.mark.parametrize("generic", [False, True])
+def test_reduce_matches_term_by_term_reference(generic):
+    # grouped reduction against the one-term-at-a-time rewrite, h-degree <= 12
+    rng = random.Random(3 + generic)
+    for _ in range(80):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exp = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1),
+                   rng.randint(0, 12), 0, 0, 0)
+            coeff = random_coeff(rng)
+            terms[exp] = D * rng.randint(-3, 3) + coeff if generic else coeff
+        p = MPoly(terms)
+        fast = reduce_class(p)
+        slow = reduce_class_by_terms(p)
+        assert fast == slow
+        assert str(fast) == str(slow)
+
+
+def test_reduce_builds_powers_of_h_without_recursion(monkeypatch):
+    # the table of reduced h^k grows by iteration: a fresh table reaches
+    # h^60 with only 40 frames of stack to spare above this test
+    expected = reduce_class(H**60)
+    monkeypatch.setattr(chow, "_H_POWERS", chow._H_POWERS[:3])
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        reduced = reduce_class(H**60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert reduced == expected
+    assert len(chow._H_POWERS) == 61
 
 
 def test_reduce_rejects_root_variables():

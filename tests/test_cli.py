@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -166,6 +167,36 @@ def test_eval_errors_exit_one(capsys):
     assert capsys.readouterr().out == (
         f"error: expression nested too deeply at 0..{len(chain)}\n"
     )
+
+
+def test_eval_exponent_over_budget_exits_one(capsys):
+    start = time.perf_counter()
+    assert main(["eval", "c1^100000000"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == (
+        "error: exponent 100000000 exceeds the budget 64 at 0..12\n"
+    )
+
+
+def test_import_loads_only_what_the_command_needs():
+    # diffed against the bare interpreter, so whatever site preloads is moot
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import planechow.cli\n"
+        "imported = sorted(set(sys.modules) - before)\n"
+        "planechow.cli.main(['eval', 'c1'])\n"
+        "print(json.dumps([imported, 'planechow.calc' in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported, calc_after_eval = json.loads(proc.stdout.splitlines()[-1])
+    assert "planechow.cli" in imported
+    for heavy in ("concurrent.futures.process", "planechow.calc", "dataclasses"):
+        assert heavy not in imported
+    assert calc_after_eval
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_homogeneous_c
+from conftest import random_homogeneous_c, random_mpoly
 from planechow.groebner import (
     RingPresentation,
     buchberger,
@@ -16,8 +16,9 @@ from planechow.groebner import (
     verify_presentation,
 )
 from planechow.mpoly import C1, C2, C3, H, MPoly
-from planechow.moduli import nodal_ideal, smooth_ideal
+from planechow.moduli import nodal_groebner, nodal_ideal, smooth_groebner, smooth_ideal
 from planechow.scalars import D
+from reference import normal_form_by_scan
 
 
 def test_principal_ideal_basis():
@@ -52,6 +53,19 @@ def test_normal_form_examples_degree_four():
     assert normal_form(C3 - (C1**3).scale(Fraction(45, 7)), gb).is_zero
     assert normal_form(C1**4, gb).is_zero
     assert not normal_form(C1**3, gb).is_zero
+
+
+def test_normal_form_matches_scan_reference():
+    # the heap-driven division against the max-scan one, 200 seeded inputs
+    rng = random.Random(2029)
+    for d in (3, 4, 7, 20):
+        for basis in (smooth_groebner(d), nodal_groebner(d)):
+            for _ in range(25):
+                p = random_mpoly(rng, names=("c1", "c2", "c3"), max_terms=6, max_exp=4)
+                fast = normal_form(p, basis)
+                slow = normal_form_by_scan(p, basis)
+                assert fast == slow
+                assert str(fast) == str(slow)
 
 
 def test_normal_form_is_linear():
