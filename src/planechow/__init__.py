@@ -14,7 +14,6 @@ from .groebner import (
     RingPresentation,
     buchberger,
     graded_dimensions,
-    ideal_equal,
     normal_form,
     verify_presentation,
 )

@@ -10,20 +10,20 @@ no unary minus):
     NUMBER := INT ('/' INT)?
 
 Variables: c1 c2 c3 h d.  Functions: push(x), euler_twist(k), K(),
-nodal_divisor(), reduce(x), nf(x, smooth|nodal, INT).  Every syntax tree
-node carries a source span; parse and evaluation failures raise
-diagnostics that point back into the input.
+nodal_divisor(), reduce(x), nf(x, smooth|nodal, INT), where INT must equal
+the degree of evaluation.  Every syntax tree node carries a source span;
+parse and evaluation failures raise diagnostics that point back into the
+input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 from . import chow, moduli
-from .groebner import buchberger, normal_form
+from .groebner import normal_form
 from .mpoly import MPoly
 from .scalars import D, UniPoly
 
@@ -368,12 +368,6 @@ def render(node: Ast) -> str:
     return f"{left} {node.op} {right}"
 
 
-@lru_cache(maxsize=None)
-def _preset_groebner(ideal: str, d: int) -> tuple[MPoly, ...]:
-    gens = moduli.smooth_ideal(d) if ideal == "smooth" else moduli.nodal_ideal(d)
-    return tuple(buchberger(gens))
-
-
 class _Evaluator:
     def __init__(self, at: int | None):
         self.at = at
@@ -414,11 +408,13 @@ class _Evaluator:
                     "nf(...) expects a class without h; apply push(...) first",
                     node.expr.span,
                 )
-            try:
-                basis = _preset_groebner(node.ideal, node.at)
-            except ValueError as exc:
-                raise EvalError(str(exc), node.span) from None
-            return normal_form(arg, basis)
+            if node.at < 1:
+                msg = f"curve degree must be a positive integer, got {node.at}"
+                raise EvalError(msg, node.span)
+            if node.at != self.at:
+                msg = f"nf(...) is at degree {node.at} but --d is {self.at}"
+                raise EvalError(msg, node.span)
+            return normal_form(arg, moduli.groebner_basis(node.ideal, node.at))
         return self.eval_call(node)
 
     def eval_call(self, node: Call) -> MPoly:

@@ -1,10 +1,11 @@
 """Buchberger engine over Q in the Chern subring Q[c1, c2, c3].
 
 This is the oracle that certifies quotient-ring presentations: reduced
-Groebner bases under the weighted grevlex order, normal forms, ideal
-equality, and graded dimensions of the quotient.  Only weighted-homogeneous
-ideals with rational-mode coefficients are accepted; the degree parameter
-must already be pinned before anything lands here.
+Groebner bases under the weighted grevlex order, normal forms, and graded
+dimensions of the quotient.  Two ideals are equal exactly when their
+reduced bases are.  Only weighted-homogeneous ideals with rational-mode
+coefficients are accepted; the degree parameter must already be pinned
+before anything lands here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .mpoly import MPoly, monomial_weight, order_key
 from .scalars import GENERIC
 
 C_VARS = ("c1", "c2", "c3")
-C_WEIGHTS = (1, 2, 3)
 
 
 class RingPresentation(NamedTuple):
@@ -176,17 +176,6 @@ def buchberger(generators: Iterable[MPoly]) -> list[MPoly]:
     return basis
 
 
-def ideal_equal(gens_a: Iterable[MPoly], gens_b: Iterable[MPoly]) -> bool:
-    """True iff both generating sets span the same ideal."""
-    a = check_generators(gens_a)
-    b = check_generators(gens_b)
-    gb_a = buchberger(a)
-    gb_b = buchberger(b)
-    return all(not normal_form(g, gb_b) for g in a) and all(
-        not normal_form(g, gb_a) for g in b
-    )
-
-
 def _c_exponents(weight: int):
     for e3 in range(weight // 3 + 1):
         for e2 in range((weight - 3 * e3) // 2 + 1):
@@ -214,13 +203,16 @@ def graded_dimensions(basis: Sequence[MPoly], up_to: int) -> tuple[int, ...]:
 
 
 def verify_presentation(
-    gens: Iterable[MPoly], presentation: RingPresentation
+    basis: Sequence[MPoly], presentation: RingPresentation
 ) -> dict:
-    """Check one claimed presentation; returns a report dict."""
-    gens = list(gens)
-    equal = ideal_equal(gens, presentation.generators)
-    gb = buchberger(gens)
-    dims = graded_dimensions(gb, len(presentation.expected_dims) - 1)
+    """Check one claimed presentation against a relation ideal.
+
+    ``basis`` is the ideal's reduced Groebner basis as ``buchberger``
+    returns it.  Reduced bases under a fixed order are unique, so the ideals
+    are equal exactly when the claimed generators give the same basis.
+    """
+    equal = tuple(basis) == tuple(buchberger(presentation.generators))
+    dims = graded_dimensions(basis, len(presentation.expected_dims) - 1)
     expected = tuple(presentation.expected_dims)
     ok = equal and dims == expected
     return {

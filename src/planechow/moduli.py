@@ -62,29 +62,20 @@ def nodal_relation(y: int, d: Scalar) -> MPoly:
 
 
 @lru_cache(maxsize=None)
-def generic_smooth_relations() -> tuple[MPoly, MPoly, MPoly]:
-    """The smooth relations with d left formal."""
-    return tuple(smooth_relation(y, D) for y in range(3))
-
-
-@lru_cache(maxsize=None)
-def generic_nodal_relations() -> tuple[MPoly, MPoly, MPoly]:
-    """The nodal relations with d left formal."""
-    return tuple(nodal_relation(y, D) for y in range(3))
+def relations(locus: str, d: Scalar) -> tuple[MPoly, MPoly, MPoly]:
+    """The y = 0, 1, 2 relations of a locus, d formal (D) or specific."""
+    relation = {"smooth": smooth_relation, "nodal": nodal_relation}[locus]
+    return tuple(relation(y, d) for y in range(3))
 
 
 def coherence_check(d: int) -> bool:
     """Specializing the generic relations at d reproduces the direct ones."""
     _require_degree(d)
-    smooth = all(
-        generic_smooth_relations()[y].specialize(d) == smooth_relation(y, d)
-        for y in range(3)
+    return all(
+        generic.specialize(d) == direct
+        for locus in ("smooth", "nodal")
+        for generic, direct in zip(relations(locus, D), relations(locus, d))
     )
-    nodal = all(
-        generic_nodal_relations()[y].specialize(d) == nodal_relation(y, d)
-        for y in range(3)
-    )
-    return smooth and nodal
 
 
 def syzygy_holds(d: Scalar) -> bool:
@@ -93,25 +84,21 @@ def syzygy_holds(d: Scalar) -> bool:
     The y = 2 relation equals -c1 * (y = 1) - c2 * (y = 0) up to the single
     correction term 2 d^2 (d-2)^2 c1 c3; this identity holds with d formal.
     """
-    lhs = (
-        nodal_relation(2, d)
-        + C1 * nodal_relation(1, d)
-        + C2 * nodal_relation(0, d)
-    )
+    n0, n1, n2 = relations("nodal", d)
     rhs = (C1 * C3).scale(2 * d * d * (d - 2) ** 2)
-    return lhs == rhs
+    return n2 + C1 * n1 + C2 * n0 == rhs
 
 
-def smooth_ideal(d: int) -> list[MPoly]:
-    """Nonzero smooth relations at a specific degree."""
+def ideal(locus: str, d: int) -> list[MPoly]:
+    """Nonzero relations of a locus at a specific degree."""
     _require_degree(d)
-    return [p for p in (smooth_relation(y, d) for y in range(3)) if p]
+    return [p for p in relations(locus, d) if p]
 
 
-def nodal_ideal(d: int) -> list[MPoly]:
-    """Nonzero nodal relations at a specific degree."""
-    _require_degree(d)
-    return [p for p in (nodal_relation(y, d) for y in range(3)) if p]
+@lru_cache(maxsize=None)
+def groebner_basis(locus: str, d: int) -> tuple[MPoly, ...]:
+    """Reduced Groebner basis of a locus's relation ideal at degree d."""
+    return tuple(buchberger(ideal(locus, d)))
 
 
 def smooth_target(d: int) -> RingPresentation:
@@ -146,29 +133,19 @@ def nodal_target(d: int) -> RingPresentation:
 
 def smooth_presentation(d: int) -> dict:
     """Groebner certification of the smooth presentation at degree d."""
-    report = verify_presentation(smooth_ideal(d), smooth_target(d))
+    report = verify_presentation(groebner_basis("smooth", d), smooth_target(d))
     return {"d": d, "locus": "smooth", **report}
 
 
 def nodal_presentation(d: int) -> dict:
     """Groebner certification of the nodal presentation at degree d."""
-    report = verify_presentation(nodal_ideal(d), nodal_target(d))
+    report = verify_presentation(groebner_basis("nodal", d), nodal_target(d))
     return {"d": d, "locus": "nodal", **report}
-
-
-@lru_cache(maxsize=None)
-def smooth_groebner(d: int) -> tuple[MPoly, ...]:
-    return tuple(buchberger(smooth_ideal(d)))
-
-
-@lru_cache(maxsize=None)
-def nodal_groebner(d: int) -> tuple[MPoly, ...]:
-    return tuple(buchberger(nodal_ideal(d)))
 
 
 def delta_pullback(d: Scalar) -> MPoly:
     """Pullback of the boundary divisor class; equals -d(d-1)^2 c1."""
-    return smooth_relation(0, d)
+    return relations("smooth", d)[0]
 
 
 def jet_compositions(d: int) -> list[tuple[int, int, int]]:
@@ -201,6 +178,7 @@ def lambda2_coefficient(d: int) -> Fraction:
     return Fraction(math.comb(d, 3) ** 2, 2)
 
 
+@lru_cache(maxsize=None)
 def lambda3_fraction_parts() -> tuple[UniPoly, UniPoly]:
     """Numerator and denominator of the reduced lambda3 coefficient in d."""
     d = D
@@ -305,14 +283,15 @@ def lambda_classes(d: int) -> TautologicalReport:
             lambda3_ok=lam3.is_zero,
             mumford_ok=None,
         )
-    gb = nodal_groebner(d)
+    gb = groebner_basis("nodal", d)
     q2 = _c1_multiple(lam2, gb, 2)
     q3 = _c1_multiple(lam3, gb, 3)
     lambda2_ok = not normal_form(
         lam2 - (C1**2).scale(lambda2_coefficient(d)), gb
     )
-    # two routes to the lambda3 closed form: direct rational division and
-    # the denominator-cleared cross-multiplied identity
+    # the lambda3 closed form as a rational coefficient and cleared of its
+    # denominator; both read lambda3_fraction_parts() and agree for d >= 4,
+    # where the denominator is nonzero
     direct = not normal_form(
         lam3 - (C1**3).scale(lambda3_coefficient(d)), gb
     )

@@ -10,8 +10,12 @@ It also keeps the plain versions of the two kernels the engine runs in a
 faster form: multivariate division that finds each leading term by a scan
 of the whole working set (the engine uses a heap), and plane-bundle
 reduction that rewrites one h^k term at a time (the engine multiplies each
-h-degree group by a table of reduced powers of h).  Tests compare the
-routes exactly.
+h-degree group by a table of reduced powers of h).
+
+Ideal equality keeps its second route here too: the engine compares
+reduced Groebner bases, and ``ideal_equal`` checks that every generator
+of each side reduces to zero modulo the other side's basis.  Tests compare
+the routes exactly.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
+from planechow.groebner import buchberger, check_generators, normal_form
 from planechow.mpoly import C1, C2, C3, H, MPoly, VAR_INDEX, order_key
 from planechow.scalars import Scalar
 
@@ -158,6 +163,17 @@ def normal_form_by_scan(p: MPoly, basis) -> MPoly:
         else:
             remainder[exp] = coeff
     return MPoly(remainder)
+
+
+def ideal_equal(gens_a, gens_b) -> bool:
+    """True iff both generating sets span the same ideal, by containment."""
+    a = check_generators(gens_a)
+    b = check_generators(gens_b)
+    gb_a = buchberger(a)
+    gb_b = buchberger(b)
+    return all(not normal_form(g, gb_b) for g in a) and all(
+        not normal_form(g, gb_a) for g in b
+    )
 
 
 _H3_IMAGE = -(C1 * H**2 + C2 * H + C3)

@@ -17,16 +17,13 @@ from planechow.cli import _table_csv, table_row
 from planechow.groebner import normal_form
 from planechow.moduli import (
     closed_forms_report,
-    generic_nodal_relations,
-    generic_smooth_relations,
+    groebner_basis,
+    ideal,
     interpolated_closed_forms,
     lambda3_coefficient,
-    nodal_groebner,
-    nodal_ideal,
     nodal_presentation,
     reference_closed_forms,
-    smooth_groebner,
-    smooth_ideal,
+    relations,
     smooth_presentation,
     syzygy_holds,
 )
@@ -65,7 +62,7 @@ def criterion(capsys, number: int, label: str, budget: float):
 def test_criterion_1_generic_relations(capsys):
     with criterion(capsys, 1, "generic relation identities", 1.0):
         d = D
-        r0, r1, r2 = generic_smooth_relations()
+        r0, r1, r2 = relations("smooth", D)
         assert r0 == C1.scale(-d * (d - 1) ** 2)
         assert r1 == (
             C2.scale(-d * (d - 1) * (d - 2)) + (C1**2).scale(d * (d - 1) ** 2)
@@ -75,7 +72,7 @@ def test_criterion_1_generic_relations(capsys):
             + (C1 * C2).scale(d * (d - 1) * (2 * d - 3))
             - (C1**3).scale(d * (d - 1) ** 2)
         )
-        n0, n1, n2 = generic_nodal_relations()
+        n0, n1, n2 = relations("nodal", D)
         assert n0 == (
             C2.scale(-2 * d * (d - 1) * (d - 2) * (d - 3))
             + (C1**2).scale(2 * d * (d - 1) ** 2 * (d - 2))
@@ -125,7 +122,7 @@ def test_criterion_4_nodal_presentations(capsys):
                 expected = [1, 1, 1, 1, 0, 0, 0, 0, 0]
             assert report["graded_dims"] == expected, report
             if d >= 4:
-                gb = nodal_groebner(d)
+                gb = groebner_basis("nodal", d)
                 assert normal_form(C1**4, gb).is_zero
                 assert not normal_form(C1**3, gb).is_zero
 
@@ -224,10 +221,8 @@ def _suite_reduce_laws(rng: random.Random, cases: int) -> int:
 def _suite_normal_form_soundness(rng: random.Random, cases: int) -> int:
     for _ in range(cases):
         d = rng.randint(1, 9)
-        if rng.random() < 0.5:
-            gens, gb = smooth_ideal(d), smooth_groebner(d)
-        else:
-            gens, gb = nodal_ideal(d), nodal_groebner(d)
+        locus = "smooth" if rng.random() < 0.5 else "nodal"
+        gens, gb = ideal(locus, d), groebner_basis(locus, d)
         member = MPoly.zero()
         for g in gens:
             member = member + random_homogeneous_c(rng, rng.randint(0, 3)) * g

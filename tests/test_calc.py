@@ -173,8 +173,11 @@ def test_evaluate_normal_form():
     assert run("nf(c1^4, nodal, 7)", at=7).is_zero
     assert run("nf(c1, smooth, 3)", at=3).is_zero
     assert not run("nf(c1, nodal, 3)", at=3).is_zero
-    # the two arguments are independent: nf picks its own degree
-    assert run("nf(c1^4, nodal, 5)", at=9).is_zero
+    # nf reduces in the ideal of the degree everything else is evaluated at
+    with pytest.raises(EvalError) as exc:
+        run("nf(c1^4, nodal, 5)", at=9)
+    assert exc.value.message == "nf(...) is at degree 5 but --d is 9"
+    assert exc.value.span == Span(0, 18)
 
 
 @pytest.mark.parametrize(

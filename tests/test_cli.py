@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from planechow import cli
+from planechow import calc, cli, groebner, moduli
 from planechow.cli import main, parse_range
 
 TABLE_4_TO_6_CSV = (
@@ -176,6 +176,42 @@ def test_eval_exponent_over_budget_exits_one(capsys):
     assert capsys.readouterr().out == (
         "error: exponent 100000000 exceeds the budget 64 at 0..12\n"
     )
+
+
+def test_eval_nf_degree_must_equal_d(capsys):
+    assert main(["eval", "nf(c1^4, nodal, 7)", "--d", "9"]) == 1
+    assert capsys.readouterr().out == (
+        "error: nf(...) is at degree 7 but --d is 9 at 0..18\n"
+    )
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_each_basis_and_relation_triple_is_built_once(d, monkeypatch):
+    # verify, then lambda, then nf at the same degree: Buchberger runs for
+    # the two relation ideals and the two claimed targets, nothing more
+    calls = {"buchberger": 0, "smooth_relation": 0, "nodal_relation": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(groebner, "buchberger")
+    # moduli holds its own reference, imported by name
+    monkeypatch.setattr(moduli, "buchberger", groebner.buchberger)
+    counted(moduli, "smooth_relation")
+    counted(moduli, "nodal_relation")
+    moduli.relations.cache_clear()
+    moduli.groebner_basis.cache_clear()
+    assert cli.verify_record(d)["pass"]
+    assert cli.lambda_record(d)["pass"]
+    calc.run(f"nf(c1^4, nodal, {d})", at=d)
+    # three relations each with d formal and at d
+    assert calls == {"buchberger": 4, "smooth_relation": 6, "nodal_relation": 6}
 
 
 def test_import_loads_only_what_the_command_needs():

@@ -1,9 +1,11 @@
 """Byte-for-byte golden outputs of the CLI, exit codes included.
 
 Each case in ``golden/cases.json`` names an argv, the expected exit code
-and the file holding the expected standard output.  The files were written
-by ``python -m planechow.cli <argv>`` before the Hodge classes moved to
-torus evaluation, so any refactor that changes a byte of default output
+and the file holding the expected standard output.  Each file was written
+by ``python -m planechow.cli <argv>`` before the refactor it guards: the
+lambda, table and verify files before the Hodge classes moved to torus
+evaluation, the present and nf files before the relation and Groebner
+caches were merged.  Any refactor that changes a byte of default output
 fails here.
 """
 

@@ -10,15 +10,14 @@ from planechow.groebner import (
     RingPresentation,
     buchberger,
     graded_dimensions,
-    ideal_equal,
     normal_form,
     s_polynomial,
     verify_presentation,
 )
 from planechow.mpoly import C1, C2, C3, H, MPoly
-from planechow.moduli import nodal_groebner, nodal_ideal, smooth_groebner, smooth_ideal
+from planechow.moduli import groebner_basis, ideal
 from planechow.scalars import D
-from reference import normal_form_by_scan
+from reference import ideal_equal, normal_form_by_scan
 
 
 def test_principal_ideal_basis():
@@ -34,20 +33,20 @@ def test_basis_of_monomial_ideal_is_itself():
 
 def test_buchberger_is_idempotent():
     for d in (1, 2, 3, 4, 7, 19):
-        gb = buchberger(nodal_ideal(d))
+        gb = buchberger(ideal("nodal", d))
         assert buchberger(gb) == gb
 
 
 def test_generators_reduce_to_zero_modulo_their_basis():
     for d in (2, 3, 4, 5, 11):
-        for gens in (smooth_ideal(d), nodal_ideal(d)):
+        for gens in (ideal("smooth", d), ideal("nodal", d)):
             gb = buchberger(gens)
             for g in gens:
                 assert normal_form(g, gb).is_zero
 
 
 def test_normal_form_examples_degree_four():
-    gb = buchberger(nodal_ideal(4))
+    gb = buchberger(ideal("nodal", 4))
     # the relations force c2 = 3 c1^2, c3 = 45/7 c1^3 and kill c1^4
     assert normal_form(C2 - (C1**2).scale(3), gb).is_zero
     assert normal_form(C3 - (C1**3).scale(Fraction(45, 7)), gb).is_zero
@@ -59,7 +58,7 @@ def test_normal_form_matches_scan_reference():
     # the heap-driven division against the max-scan one, 200 seeded inputs
     rng = random.Random(2029)
     for d in (3, 4, 7, 20):
-        for basis in (smooth_groebner(d), nodal_groebner(d)):
+        for basis in (groebner_basis("smooth", d), groebner_basis("nodal", d)):
             for _ in range(25):
                 p = random_mpoly(rng, names=("c1", "c2", "c3"), max_terms=6, max_exp=4)
                 fast = normal_form(p, basis)
@@ -70,7 +69,7 @@ def test_normal_form_matches_scan_reference():
 
 def test_normal_form_is_linear():
     rng = random.Random(31)
-    gb = buchberger(nodal_ideal(5))
+    gb = buchberger(ideal("nodal", 5))
     for _ in range(40):
         w = rng.randint(0, 6)
         p = random_homogeneous_c(rng, w)
@@ -103,11 +102,17 @@ def test_s_polynomial_cancels_leading_terms():
 
 
 def test_ideal_equality():
-    assert ideal_equal(nodal_ideal(1), [C3])
-    assert ideal_equal(nodal_ideal(2), [C3 - C1 * C2])
-    assert ideal_equal([C1**2, C1**2 + C2.scale(2)], [C1**2, C2])
-    assert not ideal_equal([C1], [C2])
-    assert not ideal_equal([C1**2], [C1])
+    # the containment route against reduced-basis equality, case by case
+    cases = (
+        (ideal("nodal", 1), [C3], True),
+        (ideal("nodal", 2), [C3 - C1 * C2], True),
+        ([C1**2, C1**2 + C2.scale(2)], [C1**2, C2], True),
+        ([C1], [C2], False),
+        ([C1**2], [C1], False),
+    )
+    for gens_a, gens_b, same in cases:
+        assert ideal_equal(gens_a, gens_b) is same
+        assert (buchberger(gens_a) == buchberger(gens_b)) is same
 
 
 def test_ideal_equal_matches_reduced_basis_equality():
@@ -133,7 +138,7 @@ def test_graded_dimensions_examples():
     assert graded_dimensions(buchberger([C1**4]), 6) == (
         1, 1, 2, 3, 3, 4, 5,
     )
-    assert graded_dimensions(buchberger(nodal_ideal(5)), 6) == (
+    assert graded_dimensions(buchberger(ideal("nodal", 5)), 6) == (
         1, 1, 1, 1, 0, 0, 0,
     )
 
@@ -156,7 +161,7 @@ def test_graded_dimensions_principal_ideal_shift():
 
 def test_verify_presentation_pass_and_fail():
     report = verify_presentation(
-        nodal_ideal(3),
+        groebner_basis("nodal", 3),
         RingPresentation((C1**2, C1 * C2, C1 * C3), (1, 1, 1, 1)),
     )
     assert report == {
@@ -166,13 +171,13 @@ def test_verify_presentation_pass_and_fail():
         "pass": True,
     }
     bad = verify_presentation(
-        nodal_ideal(3),
+        groebner_basis("nodal", 3),
         RingPresentation((C1**2, C1 * C2, C1 * C3), (1, 1, 2, 1)),
     )
     assert bad["ideal_equal"] is True
     assert bad["pass"] is False
     wrong_ideal = verify_presentation(
-        [C1], RingPresentation((C2,), (1, 0))
+        buchberger([C1]), RingPresentation((C2,), (1, 0))
     )
     assert wrong_ideal["ideal_equal"] is False
     assert wrong_ideal["pass"] is False

@@ -9,20 +9,18 @@ from planechow.moduli import (
     closed_forms_report,
     coherence_check,
     delta_pullback,
-    generic_nodal_relations,
-    generic_smooth_relations,
     genus,
     hodge_product,
     hodge_table,
+    ideal,
     interpolated_closed_forms,
     jet_compositions,
     lambda_classes,
     lambda3_coefficient,
-    nodal_ideal,
     nodal_presentation,
     nodal_relation,
     reference_closed_forms,
-    smooth_ideal,
+    relations,
     smooth_presentation,
     smooth_relation,
     syzygy_holds,
@@ -37,7 +35,7 @@ def test_genus():
 
 def test_generic_smooth_relations():
     d = D
-    r0, r1, r2 = generic_smooth_relations()
+    r0, r1, r2 = relations("smooth", D)
     assert r0 == C1.scale(-d * (d - 1) ** 2)
     assert r1 == C2.scale(-d * (d - 1) * (d - 2)) + (C1**2).scale(
         d * (d - 1) ** 2
@@ -51,7 +49,7 @@ def test_generic_smooth_relations():
 
 def test_generic_nodal_relations():
     d = D
-    n0, n1, n2 = generic_nodal_relations()
+    n0, n1, n2 = relations("nodal", D)
     assert n0 == (
         C2.scale(-2 * d * (d - 1) * (d - 2) * (d - 3))
         + (C1**2).scale(2 * d * (d - 1) ** 2 * (d - 2))
@@ -102,22 +100,22 @@ def test_syzygy_correction_term_vanishes_at_two():
 
 
 def test_smooth_ideals_by_degree():
-    assert smooth_ideal(1) == [C3.scale(-1)]
-    assert smooth_ideal(2) == [
+    assert ideal("smooth", 1) == [C3.scale(-1)]
+    assert ideal("smooth", 2) == [
         C1.scale(-2),
         (C1**2).scale(2),
         C3.scale(-2) + (C1 * C2).scale(2) - (C1**3).scale(2),
     ]
-    assert len(smooth_ideal(3)) == 3
+    assert len(ideal("smooth", 3)) == 3
 
 
 def test_nodal_ideals_by_degree():
-    assert nodal_ideal(1) == [C3.scale(4), (C1 * C3).scale(-2)]
-    assert nodal_ideal(2) == [
+    assert ideal("nodal", 1) == [C3.scale(4), (C1 * C3).scale(-2)]
+    assert ideal("nodal", 2) == [
         C3.scale(4) - (C1 * C2).scale(4),
         (C1 * C3).scale(-4) + (C1**2 * C2).scale(4),
     ]
-    assert nodal_ideal(3) == [
+    assert ideal("nodal", 3) == [
         (C1**2).scale(24),
         (C1 * C2).scale(12) - (C1**3).scale(24),
         (C1 * C3).scale(18) + (C1**4).scale(24) - (C1**2 * C2).scale(36),
@@ -202,7 +200,7 @@ def test_lambda_reduction_routes_agree():
     # direct division and the denominator-cleared identity must both hold
     for d in (4, 5, 6, 11, 17):
         rep = lambda_classes(d)
-        gb = buchberger(nodal_ideal(d))
+        gb = buchberger(ideal("nodal", d))
         q3 = lambda3_coefficient(d)
         assert rep.lambda3_reduced == (C1**3).scale(q3)
         assert normal_form(rep.lambda3 - (C1**3).scale(q3), gb).is_zero
@@ -257,6 +255,6 @@ def test_closed_forms_sample_values():
 def test_degree_validation():
     for bad in (0, -1, "4"):
         with pytest.raises(ValueError):
-            smooth_ideal(bad)
+            ideal("smooth", bad)
         with pytest.raises(ValueError):
             lambda_classes(bad)
