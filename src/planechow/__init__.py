@@ -19,7 +19,6 @@ from .groebner import (
 )
 from .symmetric import chern_roots_product, decompose_weight3
 from .moduli import (
-    TautologicalReport,
     closed_forms_report,
     delta_pullback,
     hodge_product,

@@ -32,10 +32,10 @@ def parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _check_range(parser, pair: tuple[int, int], max_d: int) -> range:
+def _check_range(parser, pair: tuple[int, int], max_d: int, low: int = 1) -> range:
     a, b = pair
-    if a < 1 or b < a:
-        parser.error(f"degree range must satisfy 1 <= A <= B, got {a}..{b}")
+    if a < low or b < a:
+        parser.error(f"degree range must satisfy {low} <= A <= B, got {a}..{b}")
     if b > max_d:
         parser.error(f"degree {b} exceeds the cap {max_d}; raise --max-d")
     return range(a, b + 1)
@@ -63,33 +63,8 @@ def _emit(parser, text: str, out: str | None) -> None:
 
 
 def verify_record(d: int) -> dict:
-    report = moduli.lambda_classes(d)
-    record = {
-        "d": d,
-        "coherence": moduli.coherence_check(d),
-        "smooth": moduli.smooth_presentation(d),
-        "nodal": moduli.nodal_presentation(d),
-        "syzygy": moduli.syzygy_holds(d),
-        "delta_ok": report.delta_ok,
-        "lambda1_ok": report.lambda1_ok,
-        "lambda2_ok": report.lambda2_ok,
-        "lambda3_ok": report.lambda3_ok,
-        "mumford_ok": report.mumford_ok,
-    }
-    record["pass"] = all(
-        value
-        for value in (
-            record["coherence"],
-            record["smooth"]["pass"],
-            record["nodal"]["pass"],
-            record["syzygy"],
-            record["delta_ok"],
-            record["lambda1_ok"],
-            record["lambda2_ok"],
-            record["lambda3_ok"],
-        )
-    ) and record["mumford_ok"] is not False
-    return record
+    values = moduli.claim_values(moduli.lambda_classes(d))
+    return {"d": d, **values, "pass": moduli.passes(values)}
 
 
 def present_record(d: int) -> dict:
@@ -108,28 +83,30 @@ def table_row(d: int) -> dict:
     return {"d": d, "A": a, "B": b, "C": c}
 
 
+def _str_or_none(value) -> str | None:
+    return None if value is None else str(value)
+
+
 def lambda_record(d: int) -> dict:
-    report = moduli.lambda_classes(d)
+    t = moduli.lambda_classes(d)
+    ok = moduli.claim_values(t, tautological=True)
+    abc = t.abc
     return {
         "d": d,
-        "genus": report.genus,
-        "delta": str(report.delta),
-        "delta_ok": report.delta_ok,
-        "lambda1_raw": str(report.lambda1),
-        "lambda2_raw": str(report.lambda2),
-        "lambda3_raw": str(report.lambda3),
-        "lambda1_ok": report.lambda1_ok,
-        "lambda2_reduced": (
-            None if report.lambda2_reduced is None else str(report.lambda2_reduced)
-        ),
-        "lambda3_reduced": (
-            None if report.lambda3_reduced is None else str(report.lambda3_reduced)
-        ),
-        "lambda2_ok": report.lambda2_ok,
-        "lambda3_ok": report.lambda3_ok,
-        "abc": None if report.abc is None else list(report.abc),
-        "mumford_ok": report.mumford_ok,
-        "pass": report.ok,
+        "genus": moduli.genus(d),
+        "delta": str(t.delta),
+        "delta_ok": ok["delta_ok"],
+        "lambda1_raw": str(t.lambda1),
+        "lambda2_raw": str(t.lambda2),
+        "lambda3_raw": str(t.lambda3),
+        "lambda1_ok": ok["lambda1_ok"],
+        "lambda2_reduced": _str_or_none(t.reduced(2)),
+        "lambda3_reduced": _str_or_none(t.reduced(3)),
+        "lambda2_ok": ok["lambda2_ok"],
+        "lambda3_ok": ok["lambda3_ok"],
+        "abc": None if abc is None else list(abc),
+        "mumford_ok": ok["mumford_ok"],
+        "pass": moduli.passes(ok),
     }
 
 
@@ -142,23 +119,10 @@ def _flag(value) -> str:
 def _verify_text(records: list[dict]) -> str:
     lines = []
     for r in records:
-        lines.append(
-            "d={d} coherence={co} smooth={sm} nodal={no} syzygy={sy} "
-            "delta={de} lambda1={l1} lambda2={l2} lambda3={l3} "
-            "mumford={mu} {verdict}".format(
-                d=r["d"],
-                co=_flag(r["coherence"]),
-                sm=_flag(r["smooth"]["pass"]),
-                no=_flag(r["nodal"]["pass"]),
-                sy=_flag(r["syzygy"]),
-                de=_flag(r["delta_ok"]),
-                l1=_flag(r["lambda1_ok"]),
-                l2=_flag(r["lambda2_ok"]),
-                l3=_flag(r["lambda3_ok"]),
-                mu=_flag(r["mumford_ok"]),
-                verdict="PASS" if r["pass"] else "FAIL",
-            )
+        flags = " ".join(
+            f"{c.label}={_flag(moduli.verdict(r[c.key]))}" for c in moduli.CLAIMS
         )
+        lines.append(f"d={r['d']} {flags} {'PASS' if r['pass'] else 'FAIL'}")
     return "\n".join(lines) + "\n"
 
 
@@ -237,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, jobs=True, max_d=True, formats=("text", "json")):
+    def common(p, jobs=True, formats=("text", "json")):
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", metavar="PATH", default=None)
         if jobs:
@@ -248,14 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="N",
                 help="worker processes; 0 = one per CPU",
             )
-        if max_d:
-            p.add_argument(
-                "--max-d",
-                type=int,
-                default=DEFAULT_MAX_D,
-                metavar="N",
-                help=f"largest allowed degree (default {DEFAULT_MAX_D})",
-            )
+        p.add_argument(
+            "--max-d",
+            type=int,
+            default=DEFAULT_MAX_D,
+            metavar="N",
+            help=f"largest allowed degree (default {DEFAULT_MAX_D})",
+        )
 
     p_verify = sub.add_parser("verify", help="run every check over a range")
     p_verify.add_argument("--d", type=parse_range, required=True, metavar="A..B")
@@ -268,11 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="weight-3 coefficient table")
     p_table.add_argument("--from", dest="d_from", type=int, required=True)
     p_table.add_argument("--to", dest="d_to", type=int, required=True)
-    common(p_table, max_d=False, formats=("text", "json", "csv"))
+    common(p_table, formats=("text", "json", "csv"))
 
     p_lambda = sub.add_parser("lambda", help="tautological report at one degree")
     p_lambda.add_argument("--d", type=int, required=True, metavar="N")
-    common(p_lambda, jobs=False, max_d=False)
+    common(p_lambda, jobs=False)
 
     p_eval = sub.add_parser("eval", help="evaluate a calculator expression")
     p_eval.add_argument("expression")
@@ -291,37 +254,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "verify":
+    if args.command in ("verify", "present"):
+        record, render = {
+            "verify": (verify_record, _verify_text),
+            "present": (present_record, _present_text),
+        }[args.command]
         degrees = _check_range(parser, args.d, args.max_d)
         jobs = _check_jobs(parser, args.jobs)
-        records = _fan_out(verify_record, list(degrees), jobs)
-        text = (
-            _json_dump(records)
-            if args.format == "json"
-            else _verify_text(records)
-        )
-        _emit(parser, text, args.out)
-        return 0 if all(r["pass"] for r in records) else 1
-
-    if args.command == "present":
-        degrees = _check_range(parser, args.d, args.max_d)
-        jobs = _check_jobs(parser, args.jobs)
-        records = _fan_out(present_record, list(degrees), jobs)
-        text = (
-            _json_dump(records)
-            if args.format == "json"
-            else _present_text(records)
-        )
+        records = _fan_out(record, list(degrees), jobs)
+        text = _json_dump(records) if args.format == "json" else render(records)
         _emit(parser, text, args.out)
         return 0 if all(r["pass"] for r in records) else 1
 
     if args.command == "table":
-        if args.d_from < 4 or args.d_to < args.d_from:
-            parser.error(
-                f"table range must satisfy 4 <= A <= B, got {args.d_from}..{args.d_to}"
-            )
+        degrees = _check_range(
+            parser, (args.d_from, args.d_to), args.max_d, low=4
+        )
         jobs = _check_jobs(parser, args.jobs)
-        rows = _fan_out(table_row, list(range(args.d_from, args.d_to + 1)), jobs)
+        rows = _fan_out(table_row, list(degrees), jobs)
         if args.format == "csv":
             text = _table_csv(rows)
         elif args.format == "json":
@@ -332,8 +282,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "lambda":
-        if args.d < 1:
-            parser.error(f"degree must be positive, got {args.d}")
+        _check_range(parser, (args.d, args.d), args.max_d)
         record = lambda_record(args.d)
         text = (
             _json_dump(record)

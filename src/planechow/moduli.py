@@ -6,7 +6,8 @@ locus of singular (respectively worse-than-nodal) curves.  This module
 computes those relations exactly, both for a formal degree parameter d and
 for specific degrees, certifies the resulting quotient presentations with
 the Groebner oracle, and evaluates the tautological delta and lambda
-pullbacks together with their closed forms in d.
+pullbacks together with their closed forms in d.  ``CLAIMS`` lists every
+per-degree claim that ``verify`` and ``lambda`` report.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .chow import euler_twist, integrate, nodal_divisor_class
 from .groebner import (
@@ -178,10 +179,10 @@ def lambda2_coefficient(d: int) -> Fraction:
     return Fraction(math.comb(d, 3) ** 2, 2)
 
 
-@lru_cache(maxsize=None)
-def lambda3_fraction_parts() -> tuple[UniPoly, UniPoly]:
-    """Numerator and denominator of the reduced lambda3 coefficient in d."""
-    d = D
+def lambda3_coefficient(d: int) -> Fraction:
+    """Reduced lambda3 coefficient on c1^3 for d >= 4."""
+    if d < 4:
+        raise ValueError("the reduced lambda3 coefficient needs d >= 4")
     num = -(d**2) * (d - 1) * (d - 2) * (
         5 * d**8
         - 60 * d**7
@@ -193,129 +194,139 @@ def lambda3_fraction_parts() -> tuple[UniPoly, UniPoly]:
         - 288 * d
         + 216
     )
-    den = 6480 * (d - 3) * (d**2 - 3 * d + 3)
-    return num, den
+    return Fraction(num, 6480 * (d - 3) * (d**2 - 3 * d + 3))
 
 
-def lambda3_coefficient(d: int) -> Fraction:
-    """Reduced lambda3 coefficient on c1^3 for d >= 4."""
-    if d < 4:
-        raise ValueError("the reduced lambda3 coefficient needs d >= 4")
-    num, den = lambda3_fraction_parts()
-    return num.evaluate(d) / den.evaluate(d)
-
-
-def _c1_multiple(p: MPoly, gb: tuple[MPoly, ...], power: int) -> Fraction | None:
-    """Coefficient q with p = q * c1^power modulo the ideal, if one exists."""
-    nf_p = normal_form(p, gb)
-    if not nf_p:
+def _ratio(p: MPoly, c: MPoly) -> Fraction | None:
+    """The q with p = q * c, if one exists."""
+    if not p:
         return Fraction(0)
-    nf_c = normal_form(C1**power, gb)
-    if not nf_c:
+    if not c:
         return None
-    exp, lead = nf_c.sorted_terms()[0]
-    q = Fraction(nf_p.terms.get(exp, 0)) / Fraction(lead)
-    if nf_p == nf_c.scale(q):
-        return q
-    return None
+    exp, lead = c.sorted_terms()[0]
+    q = Fraction(p.terms.get(exp, 0)) / Fraction(lead)
+    return q if p == c.scale(q) else None
 
 
-class TautologicalReport(NamedTuple):
-    """Delta and lambda pullbacks at one degree, with their checks.
+class TautologicalClasses(NamedTuple):
+    """Delta and the Hodge classes at one degree: the context every claim reads.
 
-    Raw classes live in Q[c1,c2,c3]; the reduced lambda fields rewrite
-    lambda2 and lambda3 as multiples of powers of c1 modulo the nodal
-    relation ideal (only possible for d >= 4, None otherwise).  Boolean
-    fields compare everything against the closed forms in d; mumford_ok
-    records lambda1^2 = 2*lambda2 modulo the ideal.
+    For d >= 4, ``nf`` holds the normal forms modulo the nodal relation
+    ideal of (lambda2, c1^2) and of (lambda3, c1^3).  The normal form is
+    linear, so each lambda claim compares these four classes.  Below d = 4
+    the Hodge bundle has rank < 3 and ``nf`` is None.
     """
 
     d: int
-    genus: int
     delta: MPoly
     lambda1: MPoly
     lambda2: MPoly
     lambda3: MPoly
-    lambda2_reduced: MPoly | None
-    lambda3_reduced: MPoly | None
-    abc: tuple[int, int, int] | None
-    delta_ok: bool
-    lambda1_ok: bool
-    lambda2_ok: bool
-    lambda3_ok: bool
-    mumford_ok: bool | None
+    nf: tuple[tuple[MPoly, MPoly], tuple[MPoly, MPoly]] | None
+
+    def reduced(self, k: int) -> MPoly | None:
+        """lambda_k (k = 2, 3) as q * c1^k modulo the nodal ideal, if any."""
+        q = None if self.nf is None else _ratio(*self.nf[k - 2])
+        return None if q is None else (C1**k).scale(q)
 
     @property
-    def ok(self) -> bool:
-        checks = [
-            self.delta_ok,
-            self.lambda1_ok,
-            self.lambda2_ok,
-            self.lambda3_ok,
-        ]
-        if self.mumford_ok is not None:
-            checks.append(self.mumford_ok)
-        return all(checks)
+    def abc(self) -> tuple[int, int, int] | None:
+        """(A, B, C) of lambda3 on the monomial-symmetric basis, for d >= 4."""
+        return None if self.nf is None else decompose_weight3(self.lambda3)
 
 
-def lambda_classes(d: int) -> TautologicalReport:
-    """Compute the tautological report at one specific degree."""
+def lambda_classes(d: int) -> TautologicalClasses:
+    """Delta, the Hodge classes and their nodal normal forms at degree d."""
     _require_degree(d)
     hodge = hodge_product(d)
     lam1, lam2, lam3 = (hodge.graded_part(k) for k in (1, 2, 3))
-    delta = delta_pullback(d)
-    delta_ok = delta == C1.scale(-d * (d - 1) ** 2)
-    lambda1_ok = lam1 == C1.scale(lambda1_coefficient(d))
-    if d < 4:
-        return TautologicalReport(
-            d=d,
-            genus=genus(d),
-            delta=delta,
-            lambda1=lam1,
-            lambda2=lam2,
-            lambda3=lam3,
-            lambda2_reduced=None,
-            lambda3_reduced=None,
-            abc=None,
-            delta_ok=delta_ok,
-            lambda1_ok=lambda1_ok,
-            lambda2_ok=lam2.is_zero,
-            lambda3_ok=lam3.is_zero,
-            mumford_ok=None,
+    nf = None
+    if d >= 4:
+        gb = groebner_basis("nodal", d)
+        nf = tuple(
+            (normal_form(lam, gb), normal_form(C1**k, gb))
+            for k, lam in ((2, lam2), (3, lam3))
         )
-    gb = groebner_basis("nodal", d)
-    q2 = _c1_multiple(lam2, gb, 2)
-    q3 = _c1_multiple(lam3, gb, 3)
-    lambda2_ok = not normal_form(
-        lam2 - (C1**2).scale(lambda2_coefficient(d)), gb
-    )
-    # the lambda3 closed form as a rational coefficient and cleared of its
-    # denominator; both read lambda3_fraction_parts() and agree for d >= 4,
-    # where the denominator is nonzero
-    direct = not normal_form(
-        lam3 - (C1**3).scale(lambda3_coefficient(d)), gb
-    )
-    num, den = lambda3_fraction_parts()
-    cross = not normal_form(
-        lam3.scale(den.evaluate(d)) - (C1**3).scale(num.evaluate(d)), gb
-    )
-    mumford_ok = not normal_form(lam1 * lam1 - lam2.scale(2), gb)
-    return TautologicalReport(
-        d=d,
-        genus=genus(d),
-        delta=delta,
-        lambda1=lam1,
-        lambda2=lam2,
-        lambda3=lam3,
-        lambda2_reduced=(C1**2).scale(q2) if q2 is not None else None,
-        lambda3_reduced=(C1**3).scale(q3) if q3 is not None else None,
-        abc=decompose_weight3(lam3),
-        delta_ok=delta_ok,
-        lambda1_ok=lambda1_ok,
-        lambda2_ok=lambda2_ok,
-        lambda3_ok=direct and cross,
-        mumford_ok=mumford_ok,
-    )
+    return TautologicalClasses(d, delta_pullback(d), lam1, lam2, lam3, nf)
+
+
+def _lambda_holds(t: TautologicalClasses, k: int) -> bool:
+    """lambda_k (k = 2, 3) matches its closed form; it vanishes below d = 4."""
+    if t.nf is None:
+        return (t.lambda2, t.lambda3)[k - 2].is_zero
+    coefficient = (lambda2_coefficient, lambda3_coefficient)[k - 2]
+    lam, c1_power = t.nf[k - 2]
+    return lam == c1_power.scale(coefficient(t.d))
+
+
+def _mumford_holds(t: TautologicalClasses) -> bool:
+    """lambda1^2 = 2 lambda2 modulo the nodal ideal, with lambda1 = a * c1."""
+    (lam2, c1_squared), _ = t.nf
+    a = t.lambda1.coefficient_in("c1", 1).constant_scalar()
+    return c1_squared.scale(a * a) == lam2.scale(2)
+
+
+class Claim(NamedTuple):
+    """One per-degree claim of the paper, as ``verify`` and ``lambda`` report it.
+
+    ``check`` reads the degree's TautologicalClasses and returns a bool, or a
+    presentation report whose "pass" is the verdict.  Below ``first_d`` the
+    claim does not apply and its value is None.  The ``lambda`` report shows
+    the ``tautological`` claims.
+    """
+
+    key: str
+    label: str
+    check: Callable[[TautologicalClasses], bool | dict]
+    first_d: int = 1
+    tautological: bool = False
+
+
+#: The claims in record order.  Each check names the functions it calls at
+#: call time, so a function replaced on this module is the one that runs.
+CLAIMS = (
+    Claim("coherence", "coherence", lambda t: coherence_check(t.d)),
+    Claim("smooth", "smooth", lambda t: smooth_presentation(t.d)),
+    Claim("nodal", "nodal", lambda t: nodal_presentation(t.d)),
+    Claim("syzygy", "syzygy", lambda t: syzygy_holds(t.d)),
+    Claim(
+        "delta_ok",
+        "delta",
+        lambda t: t.delta == C1.scale(-t.d * (t.d - 1) ** 2),
+        tautological=True,
+    ),
+    Claim(
+        "lambda1_ok",
+        "lambda1",
+        lambda t: t.lambda1 == C1.scale(lambda1_coefficient(t.d)),
+        tautological=True,
+    ),
+    Claim("lambda2_ok", "lambda2", lambda t: _lambda_holds(t, 2), tautological=True),
+    Claim("lambda3_ok", "lambda3", lambda t: _lambda_holds(t, 3), tautological=True),
+    Claim("mumford_ok", "mumford", _mumford_holds, first_d=4, tautological=True),
+)
+
+
+def claim_values(t: TautologicalClasses, tautological: bool = False) -> dict:
+    """Each claim's value at t.d by key, None where it does not apply.
+
+    With ``tautological`` only the claims of the ``lambda`` report are run.
+    """
+    return {
+        c.key: c.check(t) if t.d >= c.first_d else None
+        for c in CLAIMS
+        if c.tautological or not tautological
+    }
+
+
+def verdict(value: bool | dict | None) -> bool | None:
+    """The pass/fail of one claim value; None means it does not apply."""
+    return value["pass"] if isinstance(value, dict) else value
+
+
+def passes(values: dict) -> bool:
+    """No claim that applies fails."""
+    return all(verdict(v) is not False for v in values.values())
 
 
 def hodge_table(d_from: int, d_to: int) -> list[tuple[int, int, int, int]]:

@@ -164,23 +164,24 @@ def test_criterion_6_closed_forms(capsys):
 
 
 def test_criterion_7_tautological_pullbacks(capsys):
-    from planechow.moduli import lambda_classes
+    from planechow.moduli import claim_values, lambda_classes
 
     with criterion(capsys, 7, "tautological pullbacks d=4..20", 10.0):
         for d in range(4, 21):
             rep = lambda_classes(d)
+            ok = claim_values(rep, tautological=True)
             assert rep.lambda1 == C1.scale(-math.comb(d, 3))
             assert rep.delta == C1.scale(-d * (d - 1) ** 2)
-            assert rep.delta_ok and rep.lambda1_ok
-            assert rep.lambda2_ok, d
-            assert rep.lambda3_ok, d
-            assert rep.mumford_ok, d
-            assert rep.lambda2_reduced == (C1**2).scale(
+            assert ok["delta_ok"] and ok["lambda1_ok"]
+            assert ok["lambda2_ok"], d
+            assert ok["lambda3_ok"], d
+            assert ok["mumford_ok"], d
+            assert rep.reduced(2) == (C1**2).scale(
                 Fraction(math.comb(d, 3) ** 2, 2)
             )
-            assert rep.lambda3_reduced == (C1**3).scale(lambda3_coefficient(d))
+            assert rep.reduced(3) == (C1**3).scale(lambda3_coefficient(d))
             if d == 4:
-                assert str(rep.lambda3_reduced) == "-80/7*c1^3"
+                assert str(rep.reduced(3)) == "-80/7*c1^3"
 
 
 def _suite_ring_axioms(rng: random.Random, cases: int) -> int:

@@ -185,26 +185,27 @@ def test_eval_nf_degree_must_equal_d(capsys):
     )
 
 
+def _count_calls(monkeypatch, calls, module, name):
+    """Replace module.name by a wrapper that counts its calls in calls[name]."""
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 @pytest.mark.parametrize("d", [3, 6])
 def test_each_basis_and_relation_triple_is_built_once(d, monkeypatch):
     # verify, then lambda, then nf at the same degree: Buchberger runs for
     # the two relation ideals and the two claimed targets, nothing more
     calls = {"buchberger": 0, "smooth_relation": 0, "nodal_relation": 0}
-
-    def counted(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(groebner, "buchberger")
+    _count_calls(monkeypatch, calls, groebner, "buchberger")
     # moduli holds its own reference, imported by name
     monkeypatch.setattr(moduli, "buchberger", groebner.buchberger)
-    counted(moduli, "smooth_relation")
-    counted(moduli, "nodal_relation")
+    _count_calls(monkeypatch, calls, moduli, "smooth_relation")
+    _count_calls(monkeypatch, calls, moduli, "nodal_relation")
     moduli.relations.cache_clear()
     moduli.groebner_basis.cache_clear()
     assert cli.verify_record(d)["pass"]
@@ -212,6 +213,73 @@ def test_each_basis_and_relation_triple_is_built_once(d, monkeypatch):
     calc.run(f"nf(c1^4, nodal, {d})", at=d)
     # three relations each with d formal and at d
     assert calls == {"buchberger": 4, "smooth_relation": 6, "nodal_relation": 6}
+
+
+@pytest.mark.parametrize("d", [4, 7, 20])
+def test_lambda_record_takes_one_normal_form_per_class(d, monkeypatch):
+    # NF(lambda2), NF(lambda3), NF(c1^2) and NF(c1^3); every lambda and
+    # Mumford check follows from these four by linearity
+    cli.lambda_record(d)
+    calls = {"normal_form": 0}
+    _count_calls(monkeypatch, calls, groebner, "normal_form")
+    monkeypatch.setattr(moduli, "normal_form", groebner.normal_form)
+    assert cli.lambda_record(d)["pass"]
+    assert calls == {"normal_form": 4}
+
+
+def _failing_at_five(monkeypatch, claim):
+    """Replace one claim's check in the table by one that fails at d = 5."""
+
+    def check(t, original=claim.check):
+        return False if t.d == 5 else original(t)
+
+    table = tuple(
+        c._replace(check=check) if c is claim else c for c in moduli.CLAIMS
+    )
+    monkeypatch.setattr(moduli, "CLAIMS", table)
+
+
+@pytest.mark.parametrize("claim", moduli.CLAIMS, ids=lambda c: c.key)
+def test_each_claim_can_fail_verify(claim, monkeypatch, capsys):
+    _failing_at_five(monkeypatch, claim)
+    assert main(["verify", "--d", "4..6"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(" PASS") and lines[2].endswith(" PASS")
+    assert f" {claim.label}=FAIL " in lines[1] and lines[1].endswith(" FAIL")
+    assert lines[1].count("=FAIL") == 1
+    assert main(["verify", "--d", "5", "--format", "json"]) == 1
+    (record,) = json.loads(capsys.readouterr().out)
+    assert record[claim.key] is False and record["pass"] is False
+
+
+@pytest.mark.parametrize("claim", moduli.CLAIMS, ids=lambda c: c.key)
+def test_each_tautological_claim_can_fail_lambda(claim, monkeypatch, capsys):
+    _failing_at_five(monkeypatch, claim)
+    expected = 1 if claim.tautological else 0
+    assert main(["lambda", "--d", "5"]) == expected
+    assert capsys.readouterr().out.endswith("FAIL\n" if expected else "PASS\n")
+    assert main(["lambda", "--d", "5", "--format", "json"]) == expected
+    record = json.loads(capsys.readouterr().out)
+    assert record["pass"] is not expected
+    if claim.tautological:
+        assert record[claim.key] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lambda", "--d", "65"], ["table", "--from", "60", "--to", "65"]],
+)
+def test_lambda_and_table_degrees_are_capped(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "planechow: error: degree 65 exceeds the cap 64; raise --max-d"
+    )
+    assert main(argv + ["--max-d", "65"]) == 0
+    assert capsys.readouterr().out
 
 
 def test_import_loads_only_what_the_command_needs():

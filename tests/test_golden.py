@@ -5,8 +5,9 @@ and the file holding the expected standard output.  Each file was written
 by ``python -m planechow.cli <argv>`` before the refactor it guards: the
 lambda, table and verify files before the Hodge classes moved to torus
 evaluation, the present and nf files before the relation and Groebner
-caches were merged.  Any refactor that changes a byte of default output
-fails here.
+caches were merged, and ``verify_60_64``, ``lambda_d64`` and the
+``eval_err_*`` diagnostics before the per-degree claims moved into one
+table.  Any refactor that changes a byte of default output fails here.
 """
 
 import json

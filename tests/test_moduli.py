@@ -6,6 +6,7 @@ import pytest
 
 from planechow.groebner import buchberger, normal_form
 from planechow.moduli import (
+    claim_values,
     closed_forms_report,
     coherence_check,
     delta_pullback,
@@ -19,6 +20,7 @@ from planechow.moduli import (
     lambda3_coefficient,
     nodal_presentation,
     nodal_relation,
+    passes,
     reference_closed_forms,
     relations,
     smooth_presentation,
@@ -176,11 +178,12 @@ def test_hodge_product_small_degrees():
 
 def test_lambda_classes_degree_three():
     rep = lambda_classes(3)
+    ok = claim_values(rep, tautological=True)
     assert rep.lambda1 == C1.scale(-1)
     assert rep.lambda2.is_zero and rep.lambda3.is_zero
-    assert rep.lambda2_reduced is None and rep.abc is None
-    assert rep.mumford_ok is None
-    assert rep.ok
+    assert rep.reduced(2) is None and rep.abc is None
+    assert ok["mumford_ok"] is None
+    assert passes(ok)
 
 
 def test_lambda_classes_degree_four():
@@ -190,21 +193,23 @@ def test_lambda_classes_degree_four():
     assert rep.lambda3 == -(
         (C1**3).scale(2) + C1 * C2 + C3
     )
-    assert str(rep.lambda2_reduced) == "8*c1^2"
-    assert str(rep.lambda3_reduced) == "-80/7*c1^3"
+    assert str(rep.reduced(2)) == "8*c1^2"
+    assert str(rep.reduced(3)) == "-80/7*c1^3"
     assert rep.abc == (-2, -16, -7)
-    assert rep.ok
+    assert passes(claim_values(rep, tautological=True))
 
 
 def test_lambda_reduction_routes_agree():
-    # direct division and the denominator-cleared identity must both hold
+    # the engine's ratio of normal forms and a direct normal form of the
+    # difference, in a basis built here, must both give the closed form
     for d in (4, 5, 6, 11, 17):
         rep = lambda_classes(d)
+        ok = claim_values(rep, tautological=True)
         gb = buchberger(ideal("nodal", d))
         q3 = lambda3_coefficient(d)
-        assert rep.lambda3_reduced == (C1**3).scale(q3)
+        assert rep.reduced(3) == (C1**3).scale(q3)
         assert normal_form(rep.lambda3 - (C1**3).scale(q3), gb).is_zero
-        assert rep.lambda3_ok and rep.lambda2_ok
+        assert ok["lambda3_ok"] and ok["lambda2_ok"]
 
 
 def test_lambda3_coefficient_value():
@@ -215,9 +220,10 @@ def test_lambda3_coefficient_value():
 
 def test_mumford_relation():
     for d in (4, 5, 9, 16):
-        assert lambda_classes(d).mumford_ok is True
+        ok = claim_values(lambda_classes(d), tautological=True)
+        assert ok["mumford_ok"] is True
     # below d = 4 lambda2 vanishes outright and no Mumford check is made
-    assert lambda_classes(3).mumford_ok is None
+    assert claim_values(lambda_classes(3), tautological=True)["mumford_ok"] is None
 
 
 def test_hodge_table_frozen_rows():
