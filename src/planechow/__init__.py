@@ -1,6 +1,6 @@
 """Exact Chow-ring calculator for moduli of smooth and nodal plane curves."""
 
-from .scalars import D, ModeMismatchError, Rational, UniPoly, interpolate
+from .scalars import D, ModeMismatchError, UniPoly, interpolate
 from .mpoly import C1, C2, C3, H, MPoly
 from .chow import (
     canonical_class,
@@ -19,7 +19,6 @@ from .groebner import (
 )
 from .symmetric import chern_roots_product, decompose_weight3
 from .moduli import (
-    closed_forms_report,
     delta_pullback,
     hodge_product,
     hodge_table,

@@ -1,10 +1,11 @@
 """Command line interface.
 
 Subcommands: verify (run every per-degree check over a range), present
-(Groebner presentation reports), table (the weight-3 coefficient table),
-lambda (the tautological report at one degree), and eval (the expression
-calculator).  Exit codes: 0 all checks passed, 1 a check failed or an
-expression errored, 2 usage error.
+(Groebner presentation reports), table (the weight-3 coefficient table,
+each row checked against its closed form), lambda (the tautological
+report at one degree), and eval (the expression calculator).  Exit codes:
+0 all checks passed, 1 a check failed or an expression errored, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -81,6 +82,18 @@ def present_record(d: int) -> dict:
 def table_row(d: int) -> dict:
     (_, a, b, c), = moduli.hodge_table(d, d)
     return {"d": d, "A": a, "B": b, "C": c}
+
+
+def _table_mismatch(rows: list[dict]) -> str | None:
+    """The first table entry that differs from its closed form, described."""
+    for r in rows:
+        for col, expected in zip("ABC", moduli.reference_closed_forms(r["d"])):
+            if r[col] != expected:
+                return (
+                    f"table: d={r['d']} column {col} is {r[col]}, "
+                    f"the closed form gives {expected}"
+                )
+    return None
 
 
 def _str_or_none(value) -> str | None:
@@ -279,6 +292,10 @@ def main(argv=None) -> int:
         else:
             text = _table_text(rows)
         _emit(parser, text, args.out)
+        mismatch = _table_mismatch(rows)
+        if mismatch:
+            sys.stderr.write(mismatch + "\n")
+            return 1
         return 0
 
     if args.command == "lambda":

@@ -180,7 +180,7 @@ def _c_exponents(weight: int):
     for e3 in range(weight // 3 + 1):
         for e2 in range((weight - 3 * e3) // 2 + 1):
             e1 = weight - 3 * e3 - 2 * e2
-            yield (e1, e2, e3, 0, 0, 0, 0)
+            yield (e1, e2, e3, 0)
 
 
 def graded_dimensions(basis: Sequence[MPoly], up_to: int) -> tuple[int, ...]:

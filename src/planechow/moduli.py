@@ -25,7 +25,7 @@ from .groebner import (
     verify_presentation,
 )
 from .mpoly import C1, C2, C3, H, MPoly
-from .scalars import D, Scalar, UniPoly, interpolate
+from .scalars import D, Scalar
 from .symmetric import chern_roots_product, decompose_weight3
 
 #: Graded dimensions of Q[c1,c2] (weight 2 for c2) through weight 8.
@@ -344,9 +344,12 @@ def hodge_table(d_from: int, d_to: int) -> list[tuple[int, int, int, int]]:
     ]
 
 
-def reference_closed_forms() -> tuple[UniPoly, UniPoly, UniPoly]:
-    """The three table columns as expanded degree-9 polynomials in d."""
-    d = D
+def reference_closed_forms(d: Scalar = D) -> tuple[Scalar, Scalar, Scalar]:
+    """The three table columns as degree-9 polynomials in d.
+
+    With d formal (the default) they are UniPolys; at a specific degree
+    they are the columns' values, which ``table`` checks every row against.
+    """
     quintic = (d + 1) * d * (d - 1) * (d - 2) * (d - 3)
     a = -quintic * (5 * d**4 - 20 * d**3 - 5 * d**2 + 50 * d - 12) * Fraction(1, 6480)
     b = (
@@ -356,35 +359,3 @@ def reference_closed_forms() -> tuple[UniPoly, UniPoly, UniPoly]:
     )
     c = -quintic * (5 * d**4 - 20 * d**3 + 10 * d**2 - 10 * d + 6) * Fraction(1, 2160)
     return a, b, c
-
-
-def interpolated_closed_forms() -> tuple[UniPoly, UniPoly, UniPoly]:
-    """Fit the three table columns on d = 4..20; degree must stay <= 9."""
-    rows = hodge_table(4, 20)
-    return tuple(
-        interpolate([(row[0], row[col]) for row in rows], max_degree=9)
-        for col in (1, 2, 3)
-    )
-
-
-def closed_forms_report() -> dict:
-    """Interpolate the table columns and cross-check the closed forms.
-
-    The interpolants must coincide with the reference polynomials and must
-    keep predicting freshly computed table rows past the fitting window.
-    """
-    interp = interpolated_closed_forms()
-    ref = reference_closed_forms()
-    matches = interp == ref
-    extrapolated = hodge_table(21, 25)
-    extrapolation_ok = all(
-        interp[col - 1].evaluate(row[0]) == row[col]
-        for row in extrapolated
-        for col in (1, 2, 3)
-    )
-    return {
-        "degrees": [p.degree for p in interp],
-        "matches_reference": matches,
-        "extrapolation_ok": extrapolation_ok,
-        "pass": matches and extrapolation_ok,
-    }

@@ -1,16 +1,14 @@
 """Sparse polynomials in the fixed weighted variable table.
 
-The engine works throughout in the seven variables
+The engine works throughout in the four variables
 
     c1, c2, c3   equivariant Chern classes, weights 1, 2, 3
     h            hyperplane class, weight 1
-    t1, t2, t3   Chern roots, weight 1 (only the tests build classes in them)
 
-A monomial is an exponent 7-tuple; a polynomial maps monomials to nonzero
+A monomial is an exponent 4-tuple; a polynomial maps monomials to nonzero
 scalar coefficients (int, Fraction or UniPoly — see :mod:`.scalars`).  The
 canonical term order is graded reverse lexicographic by weighted degree
-with c1 > c2 > c3 > h > t1 > t2 > t3; rendering and Groebner reduction both
-use it.
+with c1 > c2 > c3 > h; rendering and Groebner reduction both use it.
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ from typing import Iterable, Mapping, Union
 
 from .scalars import Scalar, UniPoly, merge_modes, scalar_mode
 
-VARIABLES = ("c1", "c2", "c3", "h", "t1", "t2", "t3")
-WEIGHTS = (1, 2, 3, 1, 1, 1, 1)
+VARIABLES = ("c1", "c2", "c3", "h")
+WEIGHTS = (1, 2, 3, 1)
 NVARS = len(VARIABLES)
 VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 ZERO_EXP = (0,) * NVARS
@@ -174,12 +172,6 @@ class MPoly:
             {e: c for e, c in self.terms.items() if monomial_weight(e) == w}
         )
 
-    def max_weight(self) -> int:
-        """Largest weighted degree present; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(monomial_weight(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         """Largest exponent of one variable; -1 for the zero polynomial."""
         i = VAR_INDEX[name]
@@ -196,25 +188,6 @@ class MPoly:
                 reduced = exp[:i] + (0,) + exp[i + 1 :]
                 out[reduced] = coeff
         return _raw(out)
-
-    def substitute(self, bindings: Mapping[str, "MPoly"]) -> "MPoly":
-        """Replace variables by polynomials simultaneously."""
-        indices = {VAR_INDEX[name]: poly for name, poly in bindings.items()}
-        powers: dict[tuple[int, int], MPoly] = {}
-        total = MPoly.zero()
-        for exp, coeff in self.terms.items():
-            rest = tuple(0 if i in indices else e for i, e in enumerate(exp))
-            acc = _raw({rest: coeff})
-            for i, poly in indices.items():
-                e = exp[i]
-                if e == 0:
-                    continue
-                key = (i, e)
-                if key not in powers:
-                    powers[key] = poly**e
-                acc = acc * powers[key]
-            total = total + acc
-        return total
 
     def specialize(self, d0: Union[int, Fraction]) -> "MPoly":
         """Pin a generic-mode polynomial to the specific degree d0."""

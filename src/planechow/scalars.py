@@ -21,8 +21,6 @@ from typing import Iterable, Sequence, Union
 RATIONAL = "rational"
 GENERIC = "generic"
 
-Rational = Fraction
-
 
 class ModeMismatchError(TypeError):
     """Raised when rational-mode and generic-mode scalars are mixed."""

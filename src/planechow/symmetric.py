@@ -16,7 +16,7 @@ from collections import Counter
 from .mpoly import C1, C2, C3, MPoly
 
 #: Exponents of the weight-3 monomials c1^3, c1*c2, c3.
-_WEIGHT3 = ((3, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0))
+_WEIGHT3 = ((3, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0))
 
 
 def _elementary(forms, a: int, b: int, c: int) -> tuple[int, int, int]:

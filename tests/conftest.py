@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from planechow.calc import BinOp, Call, Num, NormalFormCall, Pow, Span, Var
 from planechow.mpoly import MPoly, NVARS, VAR_INDEX
-from reference import E1, E2, E3
+from reference import E1, E2, E3, Roots
 
 
 def random_coeff(rng: random.Random) -> Fraction:
@@ -33,11 +33,11 @@ def random_mpoly(
     return MPoly(terms)
 
 
-def random_symmetric(rng: random.Random, max_exp: int = 2) -> MPoly:
+def random_symmetric(rng: random.Random, max_exp: int = 2) -> Roots:
     """Random symmetric polynomial in the roots, built from e1, e2, e3."""
-    out = MPoly.zero()
+    out = Roots()
     for _ in range(rng.randint(0, 3)):
-        term = MPoly.const(random_coeff(rng))
+        term = Roots.const(random_coeff(rng))
         for basis in (E1, E2, E3):
             term = term * basis ** rng.randint(0, max_exp)
         out = out + term
@@ -51,7 +51,7 @@ def random_homogeneous_c(rng: random.Random, weight: int) -> MPoly:
         for e2 in range((weight - 3 * e3) // 2 + 1):
             e1 = weight - 3 * e3 - 2 * e2
             if rng.random() < 0.6:
-                terms[(e1, e2, e3, 0, 0, 0, 0)] = random_coeff(rng)
+                terms[(e1, e2, e3, 0)] = random_coeff(rng)
     return MPoly(terms)
 
 

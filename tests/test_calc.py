@@ -215,3 +215,45 @@ def test_random_trees_only_raise_diagnostics():
                 continue
             assert isinstance(result, MPoly)
             assert result.degree_in("h") <= 2
+
+
+_LEAVES = ("c1", "c2", "c3", "h", "d", "1/2", "3", "K()", "nodal_divisor()")
+
+
+def _random_scalar(rng: random.Random, depth: int) -> str:
+    """Random expression in d and numbers only: an euler_twist argument."""
+    if depth <= 0 or rng.random() < 0.4:
+        return rng.choice(("d", "1/2", "3"))
+    left = _random_scalar(rng, depth - 1)
+    right = _random_scalar(rng, depth - 1)
+    return f"({left} {rng.choice('+-*')} {right})"
+
+
+def _random_expression(rng: random.Random, depth: int) -> str:
+    """Random calculator text that evaluates both with d formal and at d."""
+    choice = rng.randrange(5) if depth > 0 else 4
+    if choice == 0:
+        left = _random_expression(rng, depth - 1)
+        right = _random_expression(rng, depth - 1)
+        return f"({left} {rng.choice('+-*')} {right})"
+    if choice == 1:
+        # a shallow base: a power is expanded before it is reduced
+        base = _random_expression(rng, min(depth - 1, 1))
+        return f"({base})^{rng.randint(0, 3)}"
+    if choice == 2:
+        return f"push({_random_expression(rng, depth - 1)})"
+    if choice == 3:
+        return f"euler_twist({_random_scalar(rng, depth - 1)})"
+    return rng.choice(_LEAVES)
+
+
+def test_generic_then_specialised_equals_specific():
+    # metamorphic: evaluating with d formal and then pinning d agrees with
+    # evaluating at that d from the start
+    rng = random.Random(2024)
+    for _ in range(300):
+        text = _random_expression(rng, 4)
+        d = rng.randint(1, 12)
+        generic = run(text).specialize(d)
+        specific = run(text, at=d)
+        assert generic == specific, f"{text} at d={d}"

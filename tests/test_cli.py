@@ -112,6 +112,28 @@ def test_table_json(capsys):
     ]
 
 
+def test_table_certifies_each_row(monkeypatch, capsys):
+    # wrong entries at d=5 (B, C) and d=6 (A): the rows still print, and
+    # stderr names the first mismatch with both values
+    real = cli.table_row
+    wrong = {5: {"B": 1, "C": 1}, 6: {"A": 1}}
+
+    def table_row(d):
+        row = real(d)
+        return {k: v + wrong.get(d, {}).get(k, 0) for k, v in row.items()}
+
+    monkeypatch.setattr(cli, "table_row", table_row)
+    assert main(["table", "--from", "4", "--to", "6", "--format", "csv"]) == 1
+    out, err = capsys.readouterr()
+    assert out == (
+        "d,A,B,C\n"
+        "4,-2,-16,-7\n"
+        "5,-82,-591,-276\n"
+        "6,-881,-6012,-2877\n"
+    )
+    assert err == "table: d=5 column B is -591, the closed form gives -592\n"
+
+
 def test_lambda_json_degree_four(capsys):
     assert main(["lambda", "--d", "4", "--format", "json"]) == 0
     rec = json.loads(capsys.readouterr().out)

@@ -12,11 +12,11 @@ from planechow.mpoly import (
     C3,
     H,
     MPoly,
+    VARIABLES,
     monomial_weight,
     order_key,
 )
 from planechow.scalars import D, ModeMismatchError, UniPoly
-from reference import T1, T2, T3
 
 
 def test_zero_is_empty():
@@ -30,23 +30,25 @@ def test_difference_of_squares():
 
 
 def test_weights():
-    assert monomial_weight((1, 1, 1, 0, 0, 0, 0)) == 6
-    assert (C1 * C2 * C3).max_weight() == 6
-    assert (H * T1 * T2).max_weight() == 3
-    assert MPoly.zero().max_weight() == -1
+    assert VARIABLES == ("c1", "c2", "c3", "h")
+    assert monomial_weight((1, 1, 1, 0)) == 6
+    assert monomial_weight((0, 0, 0, 3)) == 3
+    assert (C1 * C2 * C3).graded_part(6) == C1 * C2 * C3
+    assert (C1 * C2 * C3).graded_part(5).is_zero
 
 
 def test_order_ranks_c1_powers_above_lower_variables():
-    # under weighted grevlex: c1^2 > c2, c1^3 > c1*c2 > c3, c1 > h > t1
+    # under weighted grevlex: c1^2 > c2, c1^3 > c1*c2 > c3, c1 > h
     k = lambda p: order_key(next(iter(p.terms)))
     assert k(C1**2) > k(C2)
     assert k(C1**3) > k(C1 * C2) > k(C3)
-    assert k(C1) > k(H) > k(T1) > k(T3)
+    assert k(C1) > k(H)
+    assert k(C2) > k(C1 * H) > k(H**2)
 
 
 def test_generic_coefficients():
     p = H.scale(2 * D - 6) - C1.scale(2)
-    assert p.terms[(0, 0, 0, 1, 0, 0, 0)] == 2 * D - 6
+    assert p.terms[(0, 0, 0, 1)] == 2 * D - 6
     q = p.specialize(3)
     assert q == C1.scale(-2)
 
@@ -66,9 +68,9 @@ def test_mode_mismatch_raises():
 
 
 def test_graded_parts_decompose():
-    p = (1 - T1 - T2) * (1 - T3) + C2
+    p = (1 - C1 - H) * (1 - C2) + C3
     total = MPoly.zero()
-    for w in range(p.max_weight() + 1):
+    for w in range(4):
         part = p.graded_part(w)
         assert all(monomial_weight(e) == w for e in part.terms)
         total = total + part
@@ -81,27 +83,6 @@ def test_coefficient_in():
     assert p.coefficient_in("h", 1) == C3
     assert p.coefficient_in("h", 0) == MPoly.const(5)
     assert p.coefficient_in("h", 3).is_zero
-
-
-def test_substitute_roots_to_chern():
-    p = T1 * T2 * T3
-    assert p.substitute({"t1": C1, "t2": C2, "t3": C3}) == C1 * C2 * C3
-    q = T1**2 - T2
-    assert q.substitute({"t1": H + C1, "t2": MPoly.zero()}) == (H + C1) ** 2
-
-
-def test_substitute_is_ring_homomorphism():
-    rng = random.Random(13)
-    bindings = {"h": C1 + C2, "t1": C3 - C1}
-    for _ in range(40):
-        a = random_mpoly(rng, names=("c1", "h", "t1"))
-        b = random_mpoly(rng, names=("c2", "h", "t1"))
-        assert (a + b).substitute(bindings) == a.substitute(
-            bindings
-        ) + b.substitute(bindings)
-        assert (a * b).substitute(bindings) == a.substitute(
-            bindings
-        ) * b.substitute(bindings)
 
 
 def test_ring_axioms_random():
@@ -156,9 +137,11 @@ def test_bad_exponent_tuples_rejected():
     with pytest.raises(ValueError):
         MPoly({(1, 0): 1})
     with pytest.raises(ValueError):
-        MPoly({(-1, 0, 0, 0, 0, 0, 0): 1})
+        MPoly({(0, 0, 0, 1, 1): 1})
+    with pytest.raises(ValueError):
+        MPoly({(-1, 0, 0, 0): 1})
 
 
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
-        MPoly({(1, 0, 0, 0, 0, 0, 0): 0.5})
+        MPoly({(1, 0, 0, 0): 0.5})

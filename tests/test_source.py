@@ -1,10 +1,12 @@
-"""Source hygiene: every module-level name in the package is used.
+"""Source hygiene: every module-level name and method in the package is used.
 
 A name defined at module level in ``src/planechow`` counts as used when
 some module of the package reads it, either as a bare name or as an
 attribute (``moduli.groebner_basis``), other than where it is defined, or
-when ``planechow/__init__.py`` re-exports it.  Names read only by the tests
-belong in the tests.
+when ``planechow/__init__.py`` re-exports it.  A method or property counts
+as used when some module of the package reads an attribute of that name;
+dunder methods are exempt, since Python calls them.  Names read only by
+the tests belong in the tests.
 """
 
 import ast
@@ -33,26 +35,50 @@ def _defined_names(tree: ast.Module) -> list[str]:
     return names
 
 
-def unused_module_names(package: Path) -> list[str]:
-    """Module-level names of the package that nothing in it reads."""
+def _defined_methods(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class name, method name) of every function in a class body."""
+    return [
+        (node.name, item.name)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def unused_names(package: Path) -> list[str]:
+    """Module-level names and methods of the package that nothing in it reads.
+
+    Methods are reported as ``Class.method``.
+    """
     defined: list[str] = []
+    methods: list[tuple[str, str]] = []
     reads: Counter = Counter()
+    attributes: Counter = Counter()
     exported: set[str] = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined.extend(_defined_names(tree))
+        methods.extend(_defined_methods(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads[node.id] += 1
             elif isinstance(node, ast.Attribute):
                 reads[node.attr] += 1
+                attributes[node.attr] += 1
             elif path.name == "__init__.py" and isinstance(node, ast.ImportFrom):
                 exported.update(a.asname or a.name for a in node.names)
-    return sorted(
+    unused = [
         name
         for name in set(defined)
         if not reads[name] and name not in exported and not name.startswith("__")
+    ]
+    unused.extend(
+        f"{cls}.{name}"
+        for cls, name in set(methods)
+        if not attributes[name] and not name.startswith("__")
     )
+    return sorted(unused)
 
 
 def test_scanner_flags_an_unused_constant(tmp_path):
@@ -62,8 +88,25 @@ def test_scanner_flags_an_unused_constant(tmp_path):
         "def helper():\n    pass\n"
     )
     (tmp_path / "b.py").write_text("from . import a\n\nVALUE = a.helper()\n")
-    assert unused_module_names(tmp_path) == ["UNUSED", "VALUE"]
+    assert unused_names(tmp_path) == ["UNUSED", "VALUE"]
+
+
+def test_scanner_flags_an_unused_method_or_property(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import Box\n")
+    (tmp_path / "a.py").write_text(
+        "class Box:\n"
+        "    def __init__(self, v):\n        self.v = v\n\n"
+        "    def __eq__(self, other):\n        return self.read() == other\n\n"
+        "    def read(self):\n        return self.v\n\n"
+        "    def unread(self):\n        return self.v\n\n"
+        "    @property\n    def size(self):\n        return 1\n\n"
+        "    @property\n    def shown(self):\n        return 2\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import Box\n\nSHOWN = Box(1).shown\nprint(SHOWN)\n"
+    )
+    assert unused_names(tmp_path) == ["Box.size", "Box.unread"]
 
 
 def test_no_unused_module_names():
-    assert unused_module_names(PACKAGE) == []
+    assert unused_names(PACKAGE) == []

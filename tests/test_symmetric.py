@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_symmetric
+from conftest import random_mpoly, random_symmetric
 from planechow.moduli import hodge_product
 from planechow.mpoly import C1, C2, C3, H, MPoly, monomial_weight
 from planechow.scalars import D
@@ -13,9 +13,12 @@ from reference import (
     E1,
     E2,
     E3,
+    H_ROOT,
     T1,
     T2,
     T3,
+    Roots,
+    chern_to_roots,
     hodge_reference,
     is_symmetric,
     roots_product,
@@ -27,15 +30,15 @@ from reference import (
 def test_is_symmetric():
     assert is_symmetric(T1 + T2 + T3)
     assert is_symmetric(T1 * T2 * T3)
-    assert is_symmetric(MPoly.zero())
-    assert is_symmetric(MPoly.const(4))
+    assert is_symmetric(Roots())
+    assert is_symmetric(Roots.const(4))
     assert not is_symmetric(T1 - T2)
     assert not is_symmetric(T1**2 * T2)
 
 
 def test_is_symmetric_rejects_other_variables():
     with pytest.raises(ValueError):
-        is_symmetric(H + T1)
+        is_symmetric(H_ROOT + T1)
 
 
 def test_elementary_images():
@@ -66,14 +69,28 @@ def test_sym_to_chern_round_trip():
         p = random_symmetric(rng)
         image = sym_to_chern(p)
         assert image.uses_only(("c1", "c2", "c3"))
-        back = image.substitute(
-            {"c1": E1, "c2": E2, "c3": E3}
-        )
-        assert back == p
+        assert chern_to_roots(image) == p
+
+
+def test_chern_to_roots_images():
+    assert chern_to_roots(C1 * C2 * C3) == E1 * E2 * E3
+    assert chern_to_roots(C1**2 - C2) == T1**2 + T2**2 + T3**2 + E2
+    assert chern_to_roots(MPoly.const(D)) == Roots.const(D)
+    with pytest.raises(ValueError):
+        chern_to_roots(C1 * H)
+
+
+def test_chern_to_roots_is_ring_homomorphism():
+    rng = random.Random(13)
+    for _ in range(40):
+        a = random_mpoly(rng, names=("c1", "c2", "c3"))
+        b = random_mpoly(rng, names=("c1", "c2", "c3"))
+        assert chern_to_roots(a + b) == chern_to_roots(a) + chern_to_roots(b)
+        assert chern_to_roots(a * b) == chern_to_roots(a) * chern_to_roots(b)
 
 
 def test_sym_to_chern_generic_coefficients():
-    p = (T1 * T2 * T3).scale(D) - (T1 + T2 + T3).scale(2 * D - 6)
+    p = T1 * T2 * T3 * D - (T1 + T2 + T3) * (2 * D - 6)
     assert sym_to_chern(p) == C3.scale(D) - C1.scale(2 * D - 6)
 
 
@@ -106,7 +123,7 @@ def test_weight3_decomposition_random_round_trip():
 
 def test_roots_product_empty_is_one():
     assert chern_roots_product([]) == MPoly.const(1)
-    assert roots_product([]) == MPoly.const(1)
+    assert roots_product([]) == Roots.const(1)
 
 
 def test_roots_product_single_factor():
@@ -125,15 +142,11 @@ def test_roots_product_truncates():
             tuple(rng.randint(-3, 3) for _ in range(3))
             for _ in range(rng.randint(0, 5))
         ]
-        full = MPoly.const(1)
+        full = Roots.const(1)
         for x, y, z in forms:
-            full = full * (
-                MPoly.const(1) - T1.scale(x) - T2.scale(y) - T3.scale(z)
-            )
+            full = full * (1 - T1 * x - T2 * y - T3 * z)
         cap = rng.randint(0, 4)
-        expected = MPoly(
-            {e: c for e, c in full.terms.items() if monomial_weight(e) <= cap}
-        )
+        expected = Roots({e: c for e, c in full.terms.items() if sum(e) <= cap})
         assert roots_product(forms, cap) == expected
 
 
@@ -169,7 +182,7 @@ def test_hodge_classes_match_root_reference(d):
     lam1, lam2, lam3, abc = hodge_reference(d)
     hodge = hodge_product(d)
     assert hodge.graded_part(0) == MPoly.const(1)
-    assert hodge.max_weight() <= 3
+    assert all(monomial_weight(e) <= 3 for e in hodge.terms)
     engine = tuple(hodge.graded_part(k) for k in (1, 2, 3))
     assert engine == (lam1, lam2, lam3)
     for lam in engine:
