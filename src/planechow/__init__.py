@@ -12,9 +12,9 @@ from .chow import (
 )
 from .groebner import (
     RingPresentation,
-    buchberger,
     graded_dimensions,
     normal_form,
+    reduced_basis,
     verify_presentation,
 )
 from .symmetric import chern_roots_product, decompose_weight3

@@ -50,9 +50,7 @@ class Diagnostic(Exception):
 
 
 class ParseError(Diagnostic):
-    def __init__(self, message: str, span: Span, expected: tuple = ()):
-        super().__init__(message, span)
-        self.expected = tuple(expected)
+    pass
 
 
 class EvalError(Diagnostic):
@@ -200,9 +198,7 @@ class _Parser:
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(
-                f"expected {what}", tok.span, expected=(what,)
-            )
+            raise ParseError(f"expected {what}", tok.span)
         return self.advance()
 
     def parse_expr(self) -> Ast:
@@ -231,11 +227,7 @@ class _Parser:
             self.advance()
             tok = self.peek()
             if tok.kind != "INT":
-                raise ParseError(
-                    "expected an integer exponent after '^'",
-                    tok.span,
-                    expected=("integer",),
-                )
+                raise ParseError("expected an integer exponent after '^'", tok.span)
             self.advance()
             node = Pow(
                 node, int(tok.value), Span(node.span.start, tok.span.end)
@@ -257,26 +249,14 @@ class _Parser:
             if self.peek().kind == "(":
                 return self.parse_call(tok)
             if tok.value not in VARIABLE_NAMES:
-                raise ParseError(
-                    f"unknown identifier '{tok.value}'",
-                    tok.span,
-                    expected=VARIABLE_NAMES,
-                )
+                raise ParseError(f"unknown identifier '{tok.value}'", tok.span)
             return Var(tok.value, tok.span)
-        raise ParseError(
-            "expected a number, identifier or '('",
-            tok.span,
-            expected=("number", "identifier", "'('"),
-        )
+        raise ParseError("expected a number, identifier or '('", tok.span)
 
     def parse_call(self, name_tok: _Token) -> Ast:
         name = name_tok.value
         if name not in FUNCTION_ARITY:
-            raise ParseError(
-                f"unknown function '{name}'",
-                name_tok.span,
-                expected=tuple(FUNCTION_ARITY),
-            )
+            raise ParseError(f"unknown function '{name}'", name_tok.span)
         self.expect("(", "'('")
         if name == "nf":
             expr = self.parse_expr()
@@ -286,7 +266,6 @@ class _Parser:
                 raise ParseError(
                     f"unknown ideal preset '{ideal_tok.value}'",
                     ideal_tok.span,
-                    expected=IDEAL_PRESETS,
                 )
             self.expect(",", "','")
             d_tok = self.expect("INT", "integer degree")
@@ -328,11 +307,7 @@ def parse(text: str) -> Ast:
         node = parser.parse_expr()
         tok = parser.peek()
         if tok.kind != "EOF":
-            raise ParseError(
-                f"unexpected {tok.text!r}",
-                tok.span,
-                expected=("operator", "end of input"),
-            )
+            raise ParseError(f"unexpected {tok.text!r}", tok.span)
     except RecursionError:
         raise ParseError(
             "expression nested too deeply", Span(0, len(text))

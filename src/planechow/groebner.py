@@ -1,7 +1,8 @@
-"""Buchberger engine over Q in the Chern subring Q[c1, c2, c3].
+"""Groebner engine over Q in the Chern subring Q[c1, c2, c3].
 
 This is the oracle that certifies quotient-ring presentations: reduced
-Groebner bases under the weighted grevlex order, normal forms, and graded
+Groebner bases under the weighted grevlex order, read off the row echelon
+forms of the ideal's graded pieces, normal forms by division, and graded
 dimensions of the quotient.  Two ideals are equal exactly when their
 reduced bases are.  Only weighted-homogeneous ideals with rational-mode
 coefficients are accepted; the degree parameter must already be pinned
@@ -52,11 +53,6 @@ def leading_term(p: MPoly) -> tuple[tuple, Fraction]:
     return exp, p.terms[exp]
 
 
-def _monic(p: MPoly) -> MPoly:
-    _, lc = leading_term(p)
-    return p.scale(Fraction(1) / Fraction(lc))
-
-
 def _divides(e1: tuple, e2: tuple) -> bool:
     return all(a <= b for a, b in zip(e1, e2))
 
@@ -104,74 +100,72 @@ def normal_form(p: MPoly, basis: Sequence[MPoly]) -> MPoly:
     return MPoly(remainder)
 
 
-def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
-    lf, cf = leading_term(f)
-    lg, cg = leading_term(g)
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    sf = tuple(a - b for a, b in zip(lcm, lf))
-    sg = tuple(a - b for a, b in zip(lcm, lg))
-    left = MPoly(_shifted(f, sf, Fraction(1) / Fraction(cf)))
-    right = MPoly(_shifted(g, sg, Fraction(1) / Fraction(cg)))
-    return left - right
+def _subtract(row: dict, factor: Fraction, other: dict) -> None:
+    """row -= factor * other, in place, dropping zero coefficients."""
+    for e, c in other.items():
+        acc = row.get(e, 0) - factor * c
+        if acc:
+            row[e] = acc
+        else:
+            row.pop(e, None)
 
 
-def buchberger(generators: Iterable[MPoly]) -> list[MPoly]:
-    """Reduced monic Groebner basis, Buchberger's algorithm.
+def _weight(g: MPoly) -> int:
+    return monomial_weight(next(iter(g.terms)))
 
-    Pairs are processed in the normal selection strategy (smallest lcm
-    first) and filtered through both the coprimality and the chain
-    criterion.  The returned basis is inter-reduced, monic, and sorted by
-    ascending leading monomial, so it is a canonical form of the ideal.
+
+def _echelon(gens: Sequence[MPoly], w: int) -> dict:
+    """Reduced row echelon form of the weight-w piece I_w of the ideal.
+
+    Maps each pivot monomial to its monic row; a row's pivot is its leading
+    monomial and no other pivot occurs in it.  The rows are m * g for each
+    generator g and each monomial m of weight w - wt(g).
     """
+    rows: dict = {}
+    for g in gens:
+        for m in _c_exponents(w - _weight(g)):
+            row = _shifted(g, m, Fraction(1))
+            # pivot rows are zero at every other pivot, so one pass reduces
+            for p in [e for e in row if e in rows]:
+                _subtract(row, row[p], rows[p])
+            if row:
+                lead = max(row, key=order_key)
+                row = {e: c / row[lead] for e, c in row.items()}
+                for other in rows.values():
+                    if lead in other:
+                        _subtract(other, other[lead], row)
+                rows[lead] = row
+    return rows
+
+
+def reduced_basis(generators: Iterable[MPoly]) -> list[MPoly]:
+    """Reduced monic Groebner basis, sorted by ascending leading monomial.
+
+    Weight by weight, the echelon rows whose pivots no earlier lead divides
+    are the basis elements of that weight (Lazard 1983).  The weights stop
+    (a) once they reach every generator weight and the lcm weight of every
+    pair of leads that share a variable (Buchberger's criterion; coprime
+    pairs need no check), or (b) after three consecutive weights at which
+    the quotient is zero, since c1, c2 and c3 then carry every higher
+    monomial into the ideal.
+    """
+    gens = check_generators(generators)
+    bound = max(map(_weight, gens), default=0)
+    leads: list = []
     basis: list[MPoly] = []
-    for g in check_generators(generators):
-        r = normal_form(g, basis)
-        if r:
-            basis.append(_monic(r))
-    leads = [leading_term(g)[0] for g in basis]
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda ij: order_key(
-                tuple(max(a, b) for a, b in zip(leads[ij[0]], leads[ij[1]]))
-            ),
-        )
-        pairs.remove((i, j))
-        lcm = tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
-        if all(a == 0 or b == 0 for a, b in zip(leads[i], leads[j])):
-            continue
-        chained = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(leads[k], lcm):
-                continue
-            if (min(i, k), max(i, k)) not in pairs and (
-                min(j, k),
-                max(j, k),
-            ) not in pairs:
-                chained = True
-                break
-        if chained:
-            continue
-        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if r:
-            basis.append(_monic(r))
-            leads.append(leading_term(r)[0])
-            pairs.update((t, len(basis) - 1) for t in range(len(basis) - 1))
-    # inter-reduce to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            rest = basis[:i] + basis[i + 1 :]
-            r = normal_form(basis[i], rest)
-            if r != basis[i]:
-                changed = True
-                if r:
-                    basis[i] = _monic(r)
-                else:
-                    del basis[i]
-                break
+    zero_run = w = 0
+    while w <= bound and zero_run < 3:
+        rows = _echelon(gens, w)
+        for lead, row in rows.items():
+            if not any(_divides(lm, lead) for lm in leads):
+                for lm in leads:
+                    if any(map(min, lm, lead)):  # the pair shares a variable
+                        bound = max(bound, monomial_weight(tuple(map(max, lm, lead))))
+                leads.append(lead)
+                basis.append(MPoly(row))
+        full = len(rows) == len(list(_c_exponents(w)))
+        zero_run = zero_run + 1 if full else 0
+        w += 1
     basis.sort(key=lambda g: order_key(leading_term(g)[0]))
     return basis
 
@@ -207,11 +201,11 @@ def verify_presentation(
 ) -> dict:
     """Check one claimed presentation against a relation ideal.
 
-    ``basis`` is the ideal's reduced Groebner basis as ``buchberger``
+    ``basis`` is the ideal's reduced Groebner basis as ``reduced_basis``
     returns it.  Reduced bases under a fixed order are unique, so the ideals
     are equal exactly when the claimed generators give the same basis.
     """
-    equal = tuple(basis) == tuple(buchberger(presentation.generators))
+    equal = tuple(basis) == tuple(reduced_basis(presentation.generators))
     dims = graded_dimensions(basis, len(presentation.expected_dims) - 1)
     expected = tuple(presentation.expected_dims)
     ok = equal and dims == expected

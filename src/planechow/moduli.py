@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple
 from .chow import euler_twist, integrate, nodal_divisor_class
 from .groebner import (
     RingPresentation,
-    buchberger,
     normal_form,
+    reduced_basis,
     verify_presentation,
 )
 from .mpoly import C1, C2, C3, H, MPoly
@@ -99,7 +99,7 @@ def ideal(locus: str, d: int) -> list[MPoly]:
 @lru_cache(maxsize=None)
 def groebner_basis(locus: str, d: int) -> tuple[MPoly, ...]:
     """Reduced Groebner basis of a locus's relation ideal at degree d."""
-    return tuple(buchberger(ideal(locus, d)))
+    return tuple(reduced_basis(ideal(locus, d)))
 
 
 def smooth_target(d: int) -> RingPresentation:

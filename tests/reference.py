@@ -15,19 +15,27 @@ of the whole working set (the engine uses a heap), and plane-bundle
 reduction that rewrites one h^k term at a time (the engine multiplies each
 h-degree group by a table of reduced powers of h).
 
-Ideal equality keeps its second route here too: the engine compares
-reduced Groebner bases, and ``ideal_equal`` checks that every generator
-of each side reduces to zero modulo the other side's basis.  The table's
-closed forms are refitted here by interpolation.  Tests compare the routes
-exactly.
+The Groebner layer keeps its second route here too.  The engine reads
+reduced bases off the row echelon forms of the ideal's graded pieces;
+``buchberger`` builds them by S-pairs and inter-reduction, and
+``ideal_equal`` checks that every generator of each side reduces to zero
+modulo the other side's Buchberger basis.  The table's closed forms are
+refitted here by interpolation.  Tests compare the routes exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from typing import Iterable
 
-from planechow.groebner import buchberger, check_generators, normal_form
+from planechow.groebner import (
+    _divides,
+    _shifted,
+    check_generators,
+    leading_term,
+    normal_form,
+)
 from planechow.moduli import hodge_table, reference_closed_forms
 from planechow.mpoly import C1, C2, C3, H, MPoly, order_key
 from planechow.scalars import Scalar, UniPoly, interpolate
@@ -241,6 +249,83 @@ def normal_form_by_scan(p: MPoly, basis) -> MPoly:
         else:
             remainder[exp] = coeff
     return MPoly(remainder)
+
+
+def _monic(p: MPoly) -> MPoly:
+    _, lc = leading_term(p)
+    return p.scale(Fraction(1) / Fraction(lc))
+
+
+def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
+    lf, cf = leading_term(f)
+    lg, cg = leading_term(g)
+    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+    sf = tuple(a - b for a, b in zip(lcm, lf))
+    sg = tuple(a - b for a, b in zip(lcm, lg))
+    left = MPoly(_shifted(f, sf, Fraction(1) / Fraction(cf)))
+    right = MPoly(_shifted(g, sg, Fraction(1) / Fraction(cg)))
+    return left - right
+
+
+def buchberger(generators: Iterable[MPoly]) -> list[MPoly]:
+    """Reduced monic Groebner basis, Buchberger's algorithm.
+
+    Pairs are processed in the normal selection strategy (smallest lcm
+    first) and filtered through both the coprimality and the chain
+    criterion.  The returned basis is inter-reduced, monic, and sorted by
+    ascending leading monomial, so it is a canonical form of the ideal.
+    """
+    basis: list[MPoly] = []
+    for g in check_generators(generators):
+        r = normal_form(g, basis)
+        if r:
+            basis.append(_monic(r))
+    leads = [leading_term(g)[0] for g in basis]
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    while pairs:
+        i, j = min(
+            pairs,
+            key=lambda ij: order_key(
+                tuple(max(a, b) for a, b in zip(leads[ij[0]], leads[ij[1]]))
+            ),
+        )
+        pairs.remove((i, j))
+        lcm = tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
+        if all(a == 0 or b == 0 for a, b in zip(leads[i], leads[j])):
+            continue
+        chained = False
+        for k in range(len(basis)):
+            if k in (i, j) or not _divides(leads[k], lcm):
+                continue
+            if (min(i, k), max(i, k)) not in pairs and (
+                min(j, k),
+                max(j, k),
+            ) not in pairs:
+                chained = True
+                break
+        if chained:
+            continue
+        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        if r:
+            basis.append(_monic(r))
+            leads.append(leading_term(r)[0])
+            pairs.update((t, len(basis) - 1) for t in range(len(basis) - 1))
+    # inter-reduce to the unique reduced basis
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(basis)):
+            rest = basis[:i] + basis[i + 1 :]
+            r = normal_form(basis[i], rest)
+            if r != basis[i]:
+                changed = True
+                if r:
+                    basis[i] = _monic(r)
+                else:
+                    del basis[i]
+                break
+    basis.sort(key=lambda g: order_key(leading_term(g)[0]))
+    return basis
 
 
 def ideal_equal(gens_a, gens_b) -> bool:

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, formats, golden outputs."""
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -74,6 +75,21 @@ def test_verify_json(capsys):
     assert rec["smooth"]["graded_dims"] == [1, 0, 0, 0, 0, 0, 0, 0, 0]
     assert rec["nodal"]["graded_dims"] == [1, 1, 1, 1, 0, 0, 0, 0, 0]
     assert rec["mumford_ok"] is True
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_window_is_its_single_degree_records(seed, capsys):
+    rng = random.Random(seed)
+    a = rng.randint(1, 60)
+    b = a + rng.randint(1, 4)
+    assert main(["verify", "--d", f"{a}..{b}", "--format", "json"]) == 0
+    window = json.loads(capsys.readouterr().out)
+    singles = []
+    for d in range(a, b + 1):
+        assert main(["verify", "--d", str(d), "--format", "json"]) == 0
+        singles.extend(json.loads(capsys.readouterr().out))
+    assert window == singles
+    assert [r["d"] for r in window] == list(range(a, b + 1))
 
 
 def test_verify_reports_failures(monkeypatch, capsys):
@@ -220,12 +236,12 @@ def _count_calls(monkeypatch, calls, module, name):
 
 @pytest.mark.parametrize("d", [3, 6])
 def test_each_basis_and_relation_triple_is_built_once(d, monkeypatch):
-    # verify, then lambda, then nf at the same degree: Buchberger runs for
-    # the two relation ideals and the two claimed targets, nothing more
-    calls = {"buchberger": 0, "smooth_relation": 0, "nodal_relation": 0}
-    _count_calls(monkeypatch, calls, groebner, "buchberger")
+    # verify, then lambda, then nf at the same degree: a reduced basis is
+    # built for the two relation ideals and the two claimed targets, no more
+    calls = {"reduced_basis": 0, "smooth_relation": 0, "nodal_relation": 0}
+    _count_calls(monkeypatch, calls, groebner, "reduced_basis")
     # moduli holds its own reference, imported by name
-    monkeypatch.setattr(moduli, "buchberger", groebner.buchberger)
+    monkeypatch.setattr(moduli, "reduced_basis", groebner.reduced_basis)
     _count_calls(monkeypatch, calls, moduli, "smooth_relation")
     _count_calls(monkeypatch, calls, moduli, "nodal_relation")
     moduli.relations.cache_clear()
@@ -234,7 +250,7 @@ def test_each_basis_and_relation_triple_is_built_once(d, monkeypatch):
     assert cli.lambda_record(d)["pass"]
     calc.run(f"nf(c1^4, nodal, {d})", at=d)
     # three relations each with d formal and at d
-    assert calls == {"buchberger": 4, "smooth_relation": 6, "nodal_relation": 6}
+    assert calls == {"reduced_basis": 4, "smooth_relation": 6, "nodal_relation": 6}
 
 
 @pytest.mark.parametrize("d", [4, 7, 20])

@@ -5,48 +5,95 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_homogeneous_c, random_mpoly
+from conftest import random_coeff, random_homogeneous_c, random_mpoly
 from planechow.groebner import (
     RingPresentation,
-    buchberger,
     graded_dimensions,
     normal_form,
-    s_polynomial,
+    reduced_basis,
     verify_presentation,
 )
-from planechow.mpoly import C1, C2, C3, H, MPoly
-from planechow.moduli import groebner_basis, ideal
+from planechow.mpoly import C1, C2, C3, H, MPoly, order_key
+from planechow.moduli import groebner_basis, ideal, nodal_target, smooth_target
 from planechow.scalars import D
-from reference import ideal_equal, normal_form_by_scan
+from reference import buchberger, ideal_equal, normal_form_by_scan, s_polynomial
 
 
 def test_principal_ideal_basis():
-    assert buchberger([C1.scale(7)]) == [C1]
-    assert buchberger([]) == []
-    assert buchberger([MPoly.zero(), C2]) == [C2]
+    assert reduced_basis([C1.scale(7)]) == [C1]
+    assert reduced_basis([]) == []
+    assert reduced_basis([MPoly.zero(), C2]) == [C2]
+    assert reduced_basis([C1, MPoly.const(3)]) == [MPoly.const(1)]
 
 
 def test_basis_of_monomial_ideal_is_itself():
     gens = [C1**2, C1 * C2, C1 * C3]
-    assert buchberger(gens) == gens
+    assert reduced_basis(gens) == gens
 
 
 def test_buchberger_is_idempotent():
+    # both routes return a reduced basis, which is its own reduced basis
     for d in (1, 2, 3, 4, 7, 19):
-        gb = buchberger(ideal("nodal", d))
+        gb = reduced_basis(ideal("nodal", d))
+        assert reduced_basis(gb) == gb
         assert buchberger(gb) == gb
+
+
+def test_reduced_basis_matches_buchberger_on_presentations():
+    # every basis verify and present compute: both relation ideals and both
+    # claimed targets at each d = 1..64
+    for d in range(1, 65):
+        for gens in (
+            ideal("smooth", d),
+            ideal("nodal", d),
+            smooth_target(d).generators,
+            nodal_target(d).generators,
+        ):
+            assert reduced_basis(gens) == buchberger(gens)
+
+
+def _finite_quotient(basis) -> bool:
+    """True iff some lead is a pure power of each of c1, c2, c3."""
+    leads = [max(g.terms, key=order_key) for g in basis]
+    return all(
+        any(lm[i] and not any(lm[:i] + lm[i + 1 :]) for lm in leads)
+        for i in range(3)
+    )
+
+
+def test_reduced_basis_matches_buchberger_on_random_ideals():
+    rng = random.Random(1983)
+    infinite = 0
+    for _ in range(200):
+        gens = [
+            random_homogeneous_c(rng, rng.randint(1, 4))
+            for _ in range(rng.randint(2, 5))
+        ]
+        gb = reduced_basis(gens)
+        assert gb == buchberger(gens)
+        infinite += not _finite_quotient(gb)
+    # both kinds of quotient occur: 157 infinite, 43 finite
+    assert 20 <= infinite <= 180
+
+
+def test_reduced_basis_stops_at_the_lcm_weights():
+    # c2*c3 and c3^2 lie above both generator weights and the quotient is
+    # infinite (c1^k survives), so only the lcm rule ends the weights
+    gb = reduced_basis([C1 * C2 - C3, C2**2])
+    assert gb == [C1 * C2 - C3, C2**2, C2 * C3, C3**2]
+    assert not _finite_quotient(gb)
 
 
 def test_generators_reduce_to_zero_modulo_their_basis():
     for d in (2, 3, 4, 5, 11):
         for gens in (ideal("smooth", d), ideal("nodal", d)):
-            gb = buchberger(gens)
+            gb = reduced_basis(gens)
             for g in gens:
                 assert normal_form(g, gb).is_zero
 
 
 def test_normal_form_examples_degree_four():
-    gb = buchberger(ideal("nodal", 4))
+    gb = reduced_basis(ideal("nodal", 4))
     # the relations force c2 = 3 c1^2, c3 = 45/7 c1^3 and kill c1^4
     assert normal_form(C2 - (C1**2).scale(3), gb).is_zero
     assert normal_form(C3 - (C1**3).scale(Fraction(45, 7)), gb).is_zero
@@ -69,13 +116,27 @@ def test_normal_form_matches_scan_reference():
 
 def test_normal_form_is_linear():
     rng = random.Random(31)
-    gb = buchberger(ideal("nodal", 5))
+    gb = reduced_basis(ideal("nodal", 5))
     for _ in range(40):
         w = rng.randint(0, 6)
         p = random_homogeneous_c(rng, w)
         q = random_homogeneous_c(rng, w)
         assert normal_form(p + q, gb) == normal_form(p, gb) + normal_form(q, gb)
         assert normal_form(p - normal_form(p, gb), gb).is_zero
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 20, 64])
+@pytest.mark.parametrize("locus", ["smooth", "nodal"])
+def test_normal_form_is_idempotent_and_linear(locus, d):
+    rng = random.Random(7 * d + len(locus))
+    gb = groebner_basis(locus, d)
+    for _ in range(10):
+        p = random_mpoly(rng, names=("c1", "c2", "c3"), max_terms=5, max_exp=4)
+        q = random_mpoly(rng, names=("c1", "c2", "c3"), max_terms=5, max_exp=4)
+        a, b = random_coeff(rng), random_coeff(rng)
+        nf_p, nf_q = normal_form(p, gb), normal_form(q, gb)
+        assert normal_form(nf_p, gb) == nf_p
+        assert normal_form(p * a + q * b, gb) == nf_p * a + nf_q * b
 
 
 def test_normal_form_rejects_generic_and_h_inputs():
@@ -86,12 +147,13 @@ def test_normal_form_rejects_generic_and_h_inputs():
 
 
 def test_buchberger_rejects_inhomogeneous_generators():
-    with pytest.raises(ValueError):
-        buchberger([C1 + C2])
-    with pytest.raises(ValueError):
-        buchberger([C1.scale(D)])
-    with pytest.raises(ValueError):
-        buchberger([C1 + H])
+    for route in (reduced_basis, buchberger):
+        with pytest.raises(ValueError):
+            route([C1 + C2])
+        with pytest.raises(ValueError):
+            route([C1.scale(D)])
+        with pytest.raises(ValueError):
+            route([C1 + H])
 
 
 def test_s_polynomial_cancels_leading_terms():
@@ -112,7 +174,7 @@ def test_ideal_equality():
     )
     for gens_a, gens_b, same in cases:
         assert ideal_equal(gens_a, gens_b) is same
-        assert (buchberger(gens_a) == buchberger(gens_b)) is same
+        assert (reduced_basis(gens_a) == reduced_basis(gens_b)) is same
 
 
 def test_ideal_equal_matches_reduced_basis_equality():
@@ -125,7 +187,7 @@ def test_ideal_equal_matches_reduced_basis_equality():
             random_homogeneous_c(rng, rng.randint(1, 4)) for _ in range(2)
         ]
         same = ideal_equal(gens_a, gens_b)
-        assert same == (buchberger(gens_a) == buchberger(gens_b))
+        assert same == (reduced_basis(gens_a) == reduced_basis(gens_b))
 
 
 def test_graded_dimensions_of_free_ring():
@@ -134,11 +196,11 @@ def test_graded_dimensions_of_free_ring():
 
 
 def test_graded_dimensions_examples():
-    assert graded_dimensions(buchberger([C1, C2, C3]), 4) == (1, 0, 0, 0, 0)
-    assert graded_dimensions(buchberger([C1**4]), 6) == (
+    assert graded_dimensions(reduced_basis([C1, C2, C3]), 4) == (1, 0, 0, 0, 0)
+    assert graded_dimensions(reduced_basis([C1**4]), 6) == (
         1, 1, 2, 3, 3, 4, 5,
     )
-    assert graded_dimensions(buchberger(ideal("nodal", 5)), 6) == (
+    assert graded_dimensions(reduced_basis(ideal("nodal", 5)), 6) == (
         1, 1, 1, 1, 0, 0, 0,
     )
 
@@ -153,7 +215,7 @@ def test_graded_dimensions_principal_ideal_shift():
         f = random_homogeneous_c(rng, w)
         if f.is_zero:
             continue
-        dims = graded_dimensions(buchberger([f]), 10)
+        dims = graded_dimensions(reduced_basis([f]), 10)
         for k in range(11):
             expected = free[k] - (free[k - w] if k >= w else 0)
             assert dims[k] == expected
@@ -177,7 +239,7 @@ def test_verify_presentation_pass_and_fail():
     assert bad["ideal_equal"] is True
     assert bad["pass"] is False
     wrong_ideal = verify_presentation(
-        buchberger([C1]), RingPresentation((C2,), (1, 0))
+        reduced_basis([C1]), RingPresentation((C2,), (1, 0))
     )
     assert wrong_ideal["ideal_equal"] is False
     assert wrong_ideal["pass"] is False

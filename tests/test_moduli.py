@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from planechow.groebner import buchberger, normal_form
+from planechow.groebner import normal_form
 from planechow.moduli import (
     claim_values,
     coherence_check,
@@ -27,7 +27,7 @@ from planechow.moduli import (
 )
 from planechow.mpoly import C1, C2, C3, MPoly, monomial_weight
 from planechow.scalars import D, UniPoly
-from reference import closed_forms_report, interpolated_closed_forms
+from reference import buchberger, closed_forms_report, interpolated_closed_forms
 
 
 def test_genus():

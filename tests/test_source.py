@@ -3,10 +3,11 @@
 A name defined at module level in ``src/planechow`` counts as used when
 some module of the package reads it, either as a bare name or as an
 attribute (``moduli.groebner_basis``), other than where it is defined, or
-when ``planechow/__init__.py`` re-exports it.  A method or property counts
-as used when some module of the package reads an attribute of that name;
-dunder methods are exempt, since Python calls them.  Names read only by
-the tests belong in the tests.
+when ``planechow/__init__.py`` re-exports it.  A method, a property or an
+attribute a method assigns as ``self.<attr>`` counts as used when some
+module of the package reads an attribute of that name; dunder names are
+exempt, since Python calls them.  Names read only by the tests belong in
+the tests.
 """
 
 import ast
@@ -46,10 +47,24 @@ def _defined_methods(tree: ast.Module) -> list[tuple[str, str]]:
     ]
 
 
-def unused_names(package: Path) -> list[str]:
-    """Module-level names and methods of the package that nothing in it reads.
+def _assigned_attributes(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class name, attribute) of every ``self.<attr>`` a class assigns."""
+    return [
+        (node.name, n.attr)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.ctx, ast.Store)
+        and isinstance(n.value, ast.Name)
+        and n.value.id == "self"
+    ]
 
-    Methods are reported as ``Class.method``.
+
+def unused_names(package: Path) -> list[str]:
+    """Module-level names, methods and attributes nothing in the package reads.
+
+    Methods and attributes are reported as ``Class.name``.
     """
     defined: list[str] = []
     methods: list[tuple[str, str]] = []
@@ -60,12 +75,13 @@ def unused_names(package: Path) -> list[str]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined.extend(_defined_names(tree))
         methods.extend(_defined_methods(tree))
+        methods.extend(_assigned_attributes(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads[node.id] += 1
             elif isinstance(node, ast.Attribute):
                 reads[node.attr] += 1
-                attributes[node.attr] += 1
+                attributes[node.attr] += isinstance(node.ctx, ast.Load)
             elif path.name == "__init__.py" and isinstance(node, ast.ImportFrom):
                 exported.update(a.asname or a.name for a in node.names)
     unused = [
@@ -106,6 +122,18 @@ def test_scanner_flags_an_unused_method_or_property(tmp_path):
         "from .a import Box\n\nSHOWN = Box(1).shown\nprint(SHOWN)\n"
     )
     assert unused_names(tmp_path) == ["Box.size", "Box.unread"]
+
+
+def test_scanner_flags_an_unused_instance_attribute(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import Box\n")
+    (tmp_path / "a.py").write_text(
+        "class Box:\n"
+        "    def __init__(self, v):\n"
+        "        self.v = v\n        self.hint = v\n        self.count = 0\n\n"
+        "    def bump(self):\n        self.count += 1\n        return self.v\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import Box\n\nprint(Box(1).bump())\n")
+    assert unused_names(tmp_path) == ["Box.count", "Box.hint"]
 
 
 def test_no_unused_module_names():
