@@ -18,9 +18,8 @@ input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import chow, moduli
 from .groebner import normal_form
@@ -28,8 +27,7 @@ from .mpoly import MPoly
 from .scalars import D, UniPoly
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     start: int
     end: int
 
@@ -57,49 +55,54 @@ class EvalError(Diagnostic):
     pass
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-    span: Span = field(compare=False)
+class Num(NamedTuple):
+    value: Union[int, Fraction]
+    span: Span
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
-    span: Span = field(compare=False)
+    span: Span
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: "Ast"
     right: "Ast"
-    span: Span = field(compare=False)
+    span: Span
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "Ast"
     exponent: int
-    span: Span = field(compare=False)
+    span: Span
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     name: str
     args: tuple
-    span: Span = field(compare=False)
+    span: Span
 
 
-@dataclass(frozen=True)
-class NormalFormCall:
+class NormalFormCall(NamedTuple):
     expr: "Ast"
     ideal: str
     at: int
-    span: Span = field(compare=False)
+    span: Span
 
 
 Ast = Union[Num, Var, BinOp, Pow, Call, NormalFormCall]
+
+
+def _same_node(a: Ast, b: object) -> bool:
+    """Tree equality ignores spans; every node keeps its span last."""
+    return type(a) is type(b) and a[:-1] == b[:-1]
+
+
+for _node in Ast.__args__:
+    _node.__eq__ = _same_node
+    _node.__ne__ = lambda a, b: not _same_node(a, b)
+    _node.__hash__ = lambda a: hash((type(a), a[:-1]))
 
 VARIABLE_NAMES = ("c1", "c2", "c3", "h", "d")
 FUNCTION_ARITY = {
@@ -117,8 +120,7 @@ IDEAL_PRESETS = ("smooth", "nodal")
 MAX_EXPONENT = 64
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUM INT IDENT + - * ^ ( ) , EOF
     text: str
     value: object
@@ -161,9 +163,7 @@ def _tokenize(text: str) -> list[_Token]:
                 )
                 i = k
                 continue
-            tokens.append(
-                _Token("INT", text[i:j], Fraction(numerator), Span(i, j))
-            )
+            tokens.append(_Token("INT", text[i:j], numerator, Span(i, j)))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -229,9 +229,7 @@ class _Parser:
             if tok.kind != "INT":
                 raise ParseError("expected an integer exponent after '^'", tok.span)
             self.advance()
-            node = Pow(
-                node, int(tok.value), Span(node.span.start, tok.span.end)
-            )
+            node = Pow(node, tok.value, Span(node.span.start, tok.span.end))
         return node
 
     def parse_atom(self) -> Ast:
@@ -243,7 +241,7 @@ class _Parser:
             self.advance()
             node = self.parse_expr()
             close = self.expect(")", "')'")
-            return _respan(node, Span(tok.span.start, close.span.end))
+            return node._replace(span=Span(tok.span.start, close.span.end))
         if tok.kind == "IDENT":
             self.advance()
             if self.peek().kind == "(":
@@ -273,7 +271,7 @@ class _Parser:
             return NormalFormCall(
                 expr,
                 ideal_tok.value,
-                int(d_tok.value),
+                d_tok.value,
                 Span(name_tok.span.start, close.span.end),
             )
         args = []
@@ -291,13 +289,6 @@ class _Parser:
         return Call(
             name, tuple(args), Span(name_tok.span.start, close.span.end)
         )
-
-
-def _respan(node: Ast, span: Span) -> Ast:
-    cls = type(node)
-    values = {f: getattr(node, f) for f in node.__dataclass_fields__}
-    values["span"] = span
-    return cls(**values)
 
 
 def parse(text: str) -> Ast:
@@ -346,15 +337,16 @@ def render(node: Ast) -> str:
 class _Evaluator:
     def __init__(self, at: int | None):
         self.at = at
-        self.d_scalar = D if at is None else Fraction(at)
+        self.d_scalar = D if at is None else at
 
     def eval(self, node: Ast) -> MPoly:
         if isinstance(node, Num):
-            if self.at is None and node.value.denominator != 1:
-                return MPoly.const(UniPoly.const(node.value))
+            value = node.value
+            if value.denominator == 1:
+                return MPoly.const(value.numerator)
             if self.at is None:
-                return MPoly.const(int(node.value))
-            return MPoly.const(node.value)
+                return MPoly.const(UniPoly.const(value))
+            return MPoly.const(value)
         if isinstance(node, Var):
             if node.name == "d":
                 return MPoly.const(self.d_scalar)

@@ -6,14 +6,17 @@ The engine works throughout in the four variables
     h            hyperplane class, weight 1
 
 A monomial is an exponent 4-tuple; a polynomial maps monomials to nonzero
-scalar coefficients (int, Fraction or UniPoly — see :mod:`.scalars`).  The
-canonical term order is graded reverse lexicographic by weighted degree
-with c1 > c2 > c3 > h; rendering and Groebner reduction both use it.
+scalar coefficients (see :mod:`.scalars`): an int or a Fraction in rational
+mode, and an int or a UniPoly, which keeps its integral coefficients as
+ints, in generic mode.  The canonical term order is graded reverse
+lexicographic by weighted degree with c1 > c2 > c3 > h; rendering and
+Groebner reduction both use it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 from .scalars import Scalar, UniPoly, merge_modes, scalar_mode
@@ -142,7 +145,7 @@ class MPoly:
         out: dict[Exponent, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 acc = out.get(exp, 0) + c1 * c2
                 if acc:
                     out[exp] = acc

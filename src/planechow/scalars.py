@@ -3,14 +3,17 @@
 Two coefficient modes run through the whole engine:
 
 * rational mode, for computations pinned to one specific curve degree:
-  plain ``fractions.Fraction`` values;
+  ``int`` or ``fractions.Fraction`` values;
 * generic mode, for computations in a formal degree parameter ``d``:
   :class:`UniPoly` values, univariate polynomials in ``d`` over the
   rationals.
 
-Plain ``int`` values are accepted everywhere as mode-neutral constants.
-Combining a rational-mode scalar with a generic-mode scalar is a usage
-error and raises :class:`ModeMismatchError`.
+Plain ``int`` values are accepted everywhere as mode-neutral constants, and
+integral data stay ``int``, which skips the gcds of ``Fraction`` arithmetic;
+a :class:`UniPoly` stores its integral coefficients as ``int``.  Anything
+else, such as a float, raises ``TypeError``.  Combining a rational-mode
+scalar with a generic-mode scalar is a usage error and raises
+:class:`ModeMismatchError`.
 """
 
 from __future__ import annotations
@@ -26,10 +29,18 @@ class ModeMismatchError(TypeError):
     """Raised when rational-mode and generic-mode scalars are mixed."""
 
 
+def _exact(c: Union[int, Fraction]) -> Union[int, Fraction]:
+    """c as an int if it is integral, else as a Fraction; else TypeError."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"not a scalar: {c!r}")
+    return c.numerator if c.denominator == 1 else c
+
+
 class UniPoly:
     """Polynomial in the formal degree parameter ``d`` over the rationals.
 
-    Coefficients are stored ascending by power with no trailing zeros, so
+    Coefficients are stored ascending by power with no trailing zeros, an
+    integral one as an ``int`` and any other as a ``Fraction``, so
     representations are canonical and equality is structural.  The zero
     polynomial is the empty tuple.
     """
@@ -37,14 +48,14 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Union[int, Fraction]] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
     @classmethod
     def const(cls, value: Union[int, Fraction]) -> "UniPoly":
-        return cls((Fraction(value),))
+        return cls((value,))
 
     @property
     def degree(self) -> int:
@@ -54,10 +65,10 @@ class UniPoly:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Union[int, Fraction]:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeffs[0] if self.coeffs else 0
 
     def evaluate(self, d0: Union[int, Fraction]) -> Fraction:
         """Evaluate at d = d0 by Horner's rule."""
@@ -108,7 +119,7 @@ class UniPoly:
             return NotImplemented
         if not self.coeffs or not o.coeffs:
             return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(o.coeffs):
                 out[i + j] += a * b
@@ -194,8 +205,8 @@ def interpolate(points: Sequence[tuple], max_degree: int) -> UniPoly:
     Raises ValueError on a repeated abscissa, on too few points, or if the
     interpolant's degree exceeds ``max_degree``.
     """
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
+    xs = [Fraction(_exact(x)) for x, _ in points]
+    ys = [Fraction(_exact(y)) for _, y in points]
     if len(xs) != len(set(xs)):
         raise ValueError("duplicate abscissa in interpolation data")
     if len(xs) < max_degree + 1:

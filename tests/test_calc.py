@@ -39,6 +39,11 @@ def test_parse_structure():
         Span(0, 11),
     )
     assert tree.span == Span(0, 11)
+    # equality and hashing ignore spans
+    grouped = parse("(c1 + (c2*h))")
+    assert tree == grouped and not tree != grouped
+    assert hash(tree) == hash(grouped)
+    assert tree != parse("c1 + c2 * c3")
 
 
 def test_parse_numbers():
@@ -218,33 +223,34 @@ def test_random_trees_only_raise_diagnostics():
 
 
 _LEAVES = ("c1", "c2", "c3", "h", "d", "1/2", "3", "K()", "nodal_divisor()")
+_INTEGRAL_LEAVES = tuple(leaf for leaf in _LEAVES if leaf != "1/2")
 
 
-def _random_scalar(rng: random.Random, depth: int) -> str:
+def _random_scalar(rng: random.Random, depth: int, leaves=_LEAVES) -> str:
     """Random expression in d and numbers only: an euler_twist argument."""
     if depth <= 0 or rng.random() < 0.4:
-        return rng.choice(("d", "1/2", "3"))
-    left = _random_scalar(rng, depth - 1)
-    right = _random_scalar(rng, depth - 1)
+        return rng.choice([leaf for leaf in ("d", "1/2", "3") if leaf in leaves])
+    left = _random_scalar(rng, depth - 1, leaves)
+    right = _random_scalar(rng, depth - 1, leaves)
     return f"({left} {rng.choice('+-*')} {right})"
 
 
-def _random_expression(rng: random.Random, depth: int) -> str:
+def _random_expression(rng: random.Random, depth: int, leaves=_LEAVES) -> str:
     """Random calculator text that evaluates both with d formal and at d."""
     choice = rng.randrange(5) if depth > 0 else 4
     if choice == 0:
-        left = _random_expression(rng, depth - 1)
-        right = _random_expression(rng, depth - 1)
+        left = _random_expression(rng, depth - 1, leaves)
+        right = _random_expression(rng, depth - 1, leaves)
         return f"({left} {rng.choice('+-*')} {right})"
     if choice == 1:
         # a shallow base: a power is expanded before it is reduced
-        base = _random_expression(rng, min(depth - 1, 1))
+        base = _random_expression(rng, min(depth - 1, 1), leaves)
         return f"({base})^{rng.randint(0, 3)}"
     if choice == 2:
-        return f"push({_random_expression(rng, depth - 1)})"
+        return f"push({_random_expression(rng, depth - 1, leaves)})"
     if choice == 3:
-        return f"euler_twist({_random_scalar(rng, depth - 1)})"
-    return rng.choice(_LEAVES)
+        return f"euler_twist({_random_scalar(rng, depth - 1, leaves)})"
+    return rng.choice(leaves)
 
 
 def test_generic_then_specialised_equals_specific():
@@ -257,3 +263,39 @@ def test_generic_then_specialised_equals_specific():
         generic = run(text).specialize(d)
         specific = run(text, at=d)
         assert generic == specific, f"{text} at d={d}"
+
+
+def test_generic_power_of_euler_twist_specialises():
+    # 330 terms with coefficients of degree 27 in d: integral UniPoly
+    # coefficients keep this a fraction of a second
+    text = "((euler_twist(d))^3)^3"
+    assert run(text).specialize(8) == run(text, at=8)
+
+
+def test_integral_data_stay_int():
+    rng = random.Random(4051)
+    for _ in range(200):
+        text = _random_expression(rng, 4, _INTEGRAL_LEAVES)
+        d = rng.randint(1, 12)
+        for c in run(text, at=d).terms.values():
+            assert type(c) is int, f"{text} at d={d}: {c!r}"
+        for c in run(text).terms.values():
+            entries = c.coeffs if isinstance(c, UniPoly) else (c,)
+            assert all(type(x) is int for x in entries), f"{text}: {c!r}"
+
+
+def _fix(printed: str) -> str:
+    """Printed class as calculator text: the grammar has no unary minus."""
+    text = printed.replace("(-", "(0 - ")
+    return "0 - " + text[1:] if text.startswith("-") else text
+
+
+def test_printed_class_reads_back():
+    # metamorphic: the printer is a fixed point of parse-and-evaluate, for
+    # int, Fraction and UniPoly coefficients alike
+    rng = random.Random(7)
+    for i in range(1200):
+        text = _random_expression(rng, 4)
+        at = None if i % 2 else rng.randint(1, 12)
+        value = run(text, at=at)
+        assert run(_fix(str(value)), at=at) == value, f"{text} at d={at}"

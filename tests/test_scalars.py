@@ -84,6 +84,29 @@ def test_scalar_modes():
         scalar_mode(1.5)
 
 
+def test_unipoly_stores_integral_coefficients_as_int():
+    p = UniPoly((Fraction(1, 2), 3)) * 2
+    assert p.coeffs == (1, 6)
+    assert all(type(c) is int for c in p.coeffs)
+    assert type(UniPoly.const(Fraction(4, 2)).coeffs[0]) is int
+    assert UniPoly((Fraction(1, 3),)).coeffs == (Fraction(1, 3),)
+    # an int and the equal Fraction hash alike, so equality is unchanged
+    assert UniPoly((3,)) == UniPoly((Fraction(3),))
+    assert hash(UniPoly((3,))) == hash(UniPoly((Fraction(3),)))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", None, 1j])
+def test_inexact_inputs_are_rejected(bad):
+    with pytest.raises(TypeError, match="not a scalar"):
+        UniPoly([bad, 1])
+    with pytest.raises(TypeError, match="not a scalar"):
+        UniPoly.const(bad)
+    with pytest.raises(TypeError, match="not a scalar"):
+        interpolate([(bad, 1), (2, 3)], max_degree=1)
+    with pytest.raises(TypeError, match="not a scalar"):
+        interpolate([(1, 1), (2, bad)], max_degree=1)
+
+
 def test_interpolate_quadratic():
     p = interpolate([(1, 1), (2, 4), (3, 9)], max_degree=2)
     assert p == D**2
